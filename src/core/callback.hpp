@@ -3,7 +3,7 @@
 // std::function heap-allocates captures beyond its (implementation-defined,
 // often 16-byte) small buffer and drags in copyability machinery the event
 // queue never uses. Every event the simulator schedules is a move-only
-// closure of a handful of words ([this], [this, key], [rx, copy, airtime]),
+// closure of a handful of words ([this], [this, key], [rx, frame, airtime]),
 // so the inner loop was paying one malloc/free per event. EventCallback is a
 // move-only, small-buffer-optimized replacement: closures up to kInlineBytes
 // live inside the object next to a single ops-table pointer (40 bytes
@@ -22,7 +22,7 @@ namespace manet {
 class EventCallback {
  public:
   /// Inline capture budget. 32 bytes covers every closure the stack
-  /// schedules today (largest: the channel's [rx, copy, airtime] — a raw
+  /// schedules today (largest: the channel's [rx, frame, airtime] — a raw
   /// pointer + shared_ptr + SimTime = 32).
   static constexpr std::size_t kInlineBytes = 32;
 

@@ -1,17 +1,25 @@
 #include "packet/packet.hpp"
 
-#include <atomic>
-
 namespace manet {
 
 namespace {
-// Atomic so concurrently-running replications (ExperimentRunner worker
-// threads) never mint the same uid.
-// manet-lint: allow-global-state - atomic uid mint; uids identify trace lines but never influence simulated behaviour
-std::atomic<std::uint64_t> g_next_uid{1};
+// Where Packet() mints uids on this thread: the innermost PacketUidScope's
+// counter (the running scenario's), else the thread's own fallback.
+struct UidMint {
+  std::uint64_t* scoped = nullptr;
+  std::uint64_t fallback = 1;
+};
+// manet-lint: allow-global-state - per-thread uid mint pointed at the running scenario's own counter; uids label trace lines but never influence simulated behaviour
+thread_local UidMint t_mint;
 }  // namespace
 
-Packet::Packet() : uid_(g_next_uid.fetch_add(1, std::memory_order_relaxed)) {}
+Packet::Packet() : uid_(t_mint.scoped != nullptr ? (*t_mint.scoped)++ : t_mint.fallback++) {}
+
+PacketUidScope::PacketUidScope(std::uint64_t& next) : prev_(t_mint.scoped) {
+  t_mint.scoped = &next;
+}
+
+PacketUidScope::~PacketUidScope() { t_mint.scoped = prev_; }
 
 std::size_t Packet::size_bytes() const {
   switch (mac.type) {

@@ -1,10 +1,12 @@
 // The packet model.
 //
-// Packets are value types: the channel hands each receiver its own copy, so a
-// forwarding node can rewrite headers without aliasing surprises. Protocol-
-// specific routing content (AODV RREQs, DSR source routes, OLSR TC bodies,
-// ...) hangs off the packet as a clonable polymorphic payload, which keeps
-// this module independent of the individual routing protocols.
+// Packets are value types. The channel shares one read-only copy of each
+// transmission among all its receivers (see PacketArena); a receiver that
+// keeps or forwards a frame copies it, so a forwarding node can rewrite
+// headers without aliasing surprises. Protocol-specific routing content
+// (AODV RREQs, DSR source routes, OLSR TC bodies, ...) hangs off the packet
+// as a clonable polymorphic payload, which keeps this module independent of
+// the individual routing protocols.
 //
 // Byte sizes follow the conventions of the ns-2 wireless stack the paper
 // family used, so transmission times and byte-counted overheads are
@@ -198,8 +200,10 @@ class Packet {
   Packet(Packet&&) noexcept = default;
   Packet& operator=(Packet&&) noexcept = default;
 
-  /// Globally unique id (fresh per construction; preserved by copies so a
-  /// frame and its per-receiver copies correlate in logs).
+  /// Id unique within the minting scenario (or, outside any scenario, the
+  /// minting thread): fresh per construction, drawn from the innermost
+  /// PacketUidScope. Preserved by copies so a frame and every forwarded copy
+  /// correlate in traces. Never influences simulated behaviour.
   [[nodiscard]] std::uint64_t uid() const { return uid_; }
 
   PacketKind kind = PacketKind::kData;
@@ -225,14 +229,36 @@ class Packet {
   std::uint64_t uid_;
 };
 
+/// Points Packet() at one scenario's uid counter for this scope's lifetime.
+//
+// Scenario opens a scope around build() and run(), so uids start at 1 in
+// every scenario and a trace is a pure function of (scenario, seed) — not of
+// the sweep's thread count or of what ran earlier in the process. Outside
+// any scope (unit tests driving components directly) Packet() draws from a
+// per-thread fallback counter. The installed pointer is thread-local: a
+// scenario never leaves its worker thread, the assumption PacketArena also
+// relies on. Scopes nest; the destructor restores the enclosing one.
+class PacketUidScope {
+ public:
+  /// `next` holds the uid the next Packet receives; it must outlive the scope.
+  explicit PacketUidScope(std::uint64_t& next);
+  ~PacketUidScope();
+  PacketUidScope(const PacketUidScope&) = delete;
+  PacketUidScope& operator=(const PacketUidScope&) = delete;
+
+ private:
+  std::uint64_t* prev_;
+};
+
 /// Per-simulation pool of delivery Packet copies.
 //
 // The channel hands every decodable arrival a shared read-only copy of the
-// transmitted frame. Those copies are born and die at an enormous rate (one
-// per transmission, k receivers share it), so the arena recycles the Packet
-// allocations instead of round-tripping the allocator: the shared_ptr's
-// deleter returns the object to the free list. Single-threaded by design —
-// one arena per simulation, and a simulation never leaves its worker thread.
+// transmitted frame, which each receiver holds until its rx_end. Those
+// copies are born and die at an enormous rate (one per transmission, k
+// receivers share it), so the arena recycles the Packet allocations instead
+// of round-tripping the allocator: the shared_ptr's deleter returns the
+// object to the free list. Single-threaded by design — one arena per
+// simulation, and a simulation never leaves its worker thread.
 class PacketArena {
  public:
   /// A pooled read-only copy of `src` (same uid, shared routing payload).

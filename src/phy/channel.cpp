@@ -101,8 +101,9 @@ SimTime Channel::transmit(NodeId sender, const Packet& frame) {
   const bool urban = cfg_.urban();
   const double nlos_rx2 = cfg_.nlos_rx_range_m * cfg_.nlos_rx_range_m;
   // One pooled read-only copy is shared by every decodable arrival of this
-  // transmission (receivers copy what they need at rx_start); a broadcast to
-  // k neighbours no longer deep-copies the frame k times.
+  // transmission: each receiver holds the pointer from rx_start to rx_end
+  // and hands the listener a reference, so no arrival constructs or copies a
+  // Packet. The copy returns to the arena after the last receiver's rx_end.
   std::shared_ptr<const Packet> copy;
   for (const std::uint32_t id : scratch_) {
     // A down receiver absorbs nothing — not even carrier energy; its radio
@@ -139,7 +140,13 @@ SimTime Channel::transmit(NodeId sender, const Packet& frame) {
     }
     if (d2 <= rx2 && !faded) {
       if (copy == nullptr) copy = arena_.make(frame);
-      schedule_rx(id, prop, [rx, copy, airtime] { rx->rx_start(copy.get(), airtime); });
+      // The closure runs exactly once, so it moves its reference out.
+      auto arrive = [rx, frame = copy, airtime]() mutable {
+        rx->rx_start(std::move(frame), airtime);
+      };
+      static_assert(sizeof(arrive) <= EventCallback::kInlineBytes,
+                    "a frame arrival must fit EventCallback's inline buffer");
+      schedule_rx(id, prop, std::move(arrive));
     } else {
       // Carrier/interference only.
       schedule_rx(id, prop, [rx, airtime] { rx->rx_start(nullptr, airtime); });

@@ -51,17 +51,11 @@ void Transceiver::set_down(bool down) {
   }
 }
 
-void Transceiver::rx_start(const Packet* frame, SimTime airtime) {
+void Transceiver::rx_start(std::shared_ptr<const Packet> frame, SimTime airtime) {
   MANET_SENTINEL_CHECK(id_, "Transceiver::rx_start");
   if (down_) return;
   const bool was_busy = medium_busy();
-  ActiveRx rx;
-  rx.key = next_key_++;
-  rx.end = sim_.now() + airtime;
-  rx.airtime = airtime;
-  rx.carrier_only = (frame == nullptr);
-  rx.corrupted = false;
-  if (frame != nullptr) rx.frame = *frame;
+  ActiveRx rx{next_key_++, airtime, std::move(frame), false};
   // Collision rule: a second overlapping arrival corrupts every decodable
   // frame in flight, including the new one. Carrier-only arrivals corrupt
   // decodable frames too (they are interference), and vice versa.
@@ -90,7 +84,7 @@ void Transceiver::rx_end(std::uint64_t key) {
   MANET_ASSERT(rx_energy_ >= 0);
 
   if (stats_ != nullptr) stats_->on_rx_energy(cfg_.rx_power_w * rx.airtime.sec());
-  if (!rx.carrier_only) {
+  if (rx.frame != nullptr) {
     // A frame whose tail overlapped our own transmission is also lost.
     if (transmitting_) rx.corrupted = true;
     if (rx.corrupted) {
@@ -98,7 +92,7 @@ void Transceiver::rx_end(std::uint64_t key) {
       if (stats_ != nullptr) stats_->on_collision();
     } else {
       ++frames_rx_;
-      if (listener_ != nullptr) listener_->phy_rx(rx.frame);
+      if (listener_ != nullptr) listener_->phy_rx(*rx.frame);
     }
   }
   update_busy_edges(was_busy);

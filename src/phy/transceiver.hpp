@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/simulator.hpp"
@@ -58,9 +59,10 @@ class Transceiver {
 
   // -- called by the Channel --------------------------------------------------
   /// Energy (and possibly a decodable frame) starts arriving for `airtime`.
-  /// `frame` is null for carrier-only arrivals (transmitter beyond rx range
-  /// but within carrier-sense range).
-  void rx_start(const Packet* frame, SimTime airtime);
+  /// `frame` is the transmission's shared read-only copy, held (not copied)
+  /// until rx_end hands it to the listener; null for carrier-only arrivals
+  /// (transmitter beyond rx range but within carrier-sense range).
+  void rx_start(std::shared_ptr<const Packet> frame, SimTime airtime);
 
   // -- fault injection --------------------------------------------------------
   /// Power the radio down/up. While down, new arrivals are ignored and any
@@ -76,10 +78,8 @@ class Transceiver {
  private:
   struct ActiveRx {
     std::uint64_t key;
-    SimTime end;
     SimTime airtime;
-    Packet frame;     // decodable content (unused when carrier_only)
-    bool carrier_only;
+    std::shared_ptr<const Packet> frame;  // null: carrier-only arrival
     bool corrupted;
   };
 

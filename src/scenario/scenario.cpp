@@ -116,6 +116,7 @@ Scenario::Scenario(const ScenarioConfig& cfg) : cfg_(cfg) {
 void Scenario::build() {
   if (built_) return;
   built_ = true;
+  const PacketUidScope uids(next_uid_);
 
   channel_ = std::make_unique<Channel>(sim_, cfg_.phy, cfg_.area, milliseconds(250), cfg_.seed);
 
@@ -405,6 +406,7 @@ void Scenario::apply_fault(const FaultEvent& ev) {
 }
 
 ScenarioResult Scenario::run() {
+  const PacketUidScope uids(next_uid_);
   build();
   // Debug builds: arm the shard sentinel for sharded runs so any handler
   // touching a foreign shard's node aborts with full context. Unarmed for

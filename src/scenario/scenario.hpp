@@ -212,6 +212,8 @@ class Scenario {
   void apply_fault(const FaultEvent& ev);
 
   ScenarioConfig cfg_;
+  /// The uid the scenario's next Packet receives (see PacketUidScope).
+  std::uint64_t next_uid_ = 1;
   Simulator sim_;
   ShardMap shard_map_;
   unsigned shards_ = 1;

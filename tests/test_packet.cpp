@@ -2,15 +2,45 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "routing/aodv/aodv_messages.hpp"
 #include "routing/dsr/dsr_messages.hpp"
 
 namespace manet {
 namespace {
 
+// Uids are unique within a scenario, or — outside any scenario — within a
+// thread: each construction takes the next value of the innermost
+// PacketUidScope's counter, else of the calling thread's fallback counter.
 TEST(Packet, FreshUidsAreUnique) {
   Packet a, b;
-  EXPECT_NE(a.uid(), b.uid());
+  EXPECT_EQ(b.uid(), a.uid() + 1);
+
+  std::uint64_t scenario_next = 1;
+  {
+    const PacketUidScope scope(scenario_next);
+    Packet c, d;
+    EXPECT_EQ(c.uid(), 1u);
+    EXPECT_EQ(d.uid(), 2u);
+    std::uint64_t inner_next = 1;
+    {
+      const PacketUidScope nested(inner_next);
+      const Packet e;
+      EXPECT_EQ(e.uid(), 1u);
+    }
+    const Packet f;  // the enclosing scope is back in force
+    EXPECT_EQ(f.uid(), 3u);
+  }
+  EXPECT_EQ(scenario_next, 4u);
+
+  const Packet g;  // the thread's fallback counter resumes where it was
+  EXPECT_EQ(g.uid(), b.uid() + 1);
+
+  // Another thread has its own fallback counter.
+  std::uint64_t other_first = 0;
+  std::thread([&] { other_first = Packet().uid(); }).join();
+  EXPECT_EQ(other_first, 1u);
 }
 
 TEST(Packet, CopyPreservesUid) {

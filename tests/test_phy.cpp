@@ -178,5 +178,101 @@ TEST(Phy, MovingNodeChangesConnectivity) {
   EXPECT_TRUE(net.listeners[1]->frames.empty());
 }
 
+/// A routing payload the shared-frame test can mutate and observe.
+struct Tag : RoutingPayloadBase<Tag> {
+  int value = 0;
+  [[nodiscard]] std::size_t size_bytes() const override { return 4; }
+};
+
+/// The Tag value a frame carries; -1 when it has none.
+int tag_of(const Packet& p) {
+  return p.routing ? dynamic_cast<const Tag&>(*p.routing.get()).value : -1;
+}
+
+/// Keeps a copy of every frame phy_rx hands over. With `rewrite_copy` it
+/// also forwards the frame the way a relay does: copy, then rewrite the
+/// routing payload in place.
+class SharedFrameListener : public PhyListener {
+ public:
+  void phy_busy_start() override {}
+  void phy_busy_end() override {}
+  void phy_rx(const Packet& f) override {
+    got.push_back(f);
+    if (rewrite_copy) {
+      Packet mine = f;
+      dynamic_cast<Tag*>(mine.routing.mutate())->value = 99;
+      forwarded.push_back(std::move(mine));
+    }
+  }
+
+  bool rewrite_copy = false;
+  std::vector<Packet> got;
+  std::vector<Packet> forwarded;
+};
+
+// Reception builds no Packet: the channel makes one shared read-only copy
+// per transmission and every receiver is handed that object at rx_end. Two
+// probes minted around the whole exchange are therefore consecutive uids.
+// A receiver that copies and rewrites its frame (copy-on-write) never
+// disturbs what its siblings see, and corrupted or carrier-only arrivals
+// deliver nothing.
+TEST(Phy, ReceptionSharesOneFrameAndConstructsNoPacket) {
+  // 0 sends. 1 (the relay), 2, 3 and 5 are in decode range; 4 sits between
+  // rx and carrier-sense range (carrier only). 5 doubles as the interferer.
+  const std::vector<Vec2> at = {{0.0, 0.0},    {100.0, 0.0}, {0.0, 200.0},
+                                {-240.0, 0.0}, {400.0, 0.0}, {0.0, -150.0}};
+  PhyNet net(at);
+  std::vector<std::unique_ptr<SharedFrameListener>> ls;
+  for (auto& trx : net.trx) {
+    ls.push_back(std::make_unique<SharedFrameListener>());
+    trx->set_listener(ls.back().get());
+  }
+  ls[1]->rewrite_copy = true;  // the nearest receiver: its rx_end comes first
+
+  Packet frame = net.data_frame(0, kBroadcast);
+  auto tag = std::make_unique<Tag>();
+  tag->value = 7;
+  frame.routing = std::move(tag);
+
+  const Packet before;
+  net.trx[0]->transmit(frame);
+  net.sim.run_until(net.sim.now() + seconds(1));
+  const Packet after;
+  EXPECT_EQ(after.uid(), before.uid() + 1) << "reception constructed a Packet";
+
+  // Checked after the run, so an in-place rewrite by any receiver would
+  // show up in every sibling's copy, whichever order they received in.
+  for (const NodeId id : {1u, 2u, 3u, 5u}) {
+    ASSERT_EQ(ls[id]->got.size(), 1u) << "node " << id;
+    const Packet& got = ls[id]->got[0];
+    EXPECT_EQ(got.uid(), frame.uid()) << "node " << id;
+    EXPECT_EQ(got.mac.src, 0u);
+    EXPECT_EQ(got.mac.dst, kBroadcast);
+    EXPECT_EQ(got.size_bytes(), frame.size_bytes());
+    EXPECT_EQ(tag_of(got), 7) << "node " << id << " sees a sibling's rewrite";
+  }
+  ASSERT_EQ(ls[1]->forwarded.size(), 1u);
+  EXPECT_EQ(tag_of(ls[1]->forwarded[0]), 99);
+  EXPECT_EQ(tag_of(frame), 7);
+  EXPECT_TRUE(ls[4]->got.empty());  // carrier only
+  EXPECT_TRUE(ls[0]->got.empty());  // the sender
+
+  // Collision: 0 and 5 transmit at once, so every receiver's arrivals
+  // overlap and are corrupted. Nothing is delivered, and still no Packet is
+  // constructed on the arrival path.
+  const std::uint64_t corrupted_before = net.trx[1]->frames_corrupted();
+  const Packet jam = net.data_frame(5, kBroadcast);
+  const Packet before_collision;
+  net.trx[0]->transmit(frame);
+  net.trx[5]->transmit(jam);
+  net.sim.run_until(net.sim.now() + seconds(1));
+  const Packet after_collision;
+  EXPECT_EQ(after_collision.uid(), before_collision.uid() + 1);
+  for (const NodeId id : {1u, 2u, 3u, 4u, 5u}) {
+    EXPECT_EQ(ls[id]->got.size(), id == 4 ? 0u : 1u) << "node " << id;
+  }
+  EXPECT_EQ(net.trx[1]->frames_corrupted(), corrupted_before + 2);
+}
+
 }  // namespace
 }  // namespace manet

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "scenario/scenario.hpp"
+#include "scenario/sweep.hpp"
 
 namespace manet {
 namespace {
@@ -165,6 +167,78 @@ TEST(Trace, ScenarioEmitsFaultLifecycle) {
     ++n;
   }
   EXPECT_GT(n, 100u);
+}
+
+ScenarioConfig small_config(Protocol protocol, const std::string& path) {
+  ScenarioConfig cfg;
+  cfg.protocol = protocol;
+  cfg.seed = 3;
+  cfg.num_nodes = 12;
+  cfg.area = {600.0, 600.0};
+  cfg.v_max = 5.0;
+  cfg.num_connections = 3;
+  cfg.duration = seconds(20);
+  cfg.trace_path = path;
+  return cfg;
+}
+
+/// "" when two traces are identical, else the first line where they differ.
+std::string first_difference(const std::string& a, const std::string& b) {
+  const auto la = lines_of(a);
+  const auto lb = lines_of(b);
+  for (std::size_t i = 0; i < std::max(la.size(), lb.size()); ++i) {
+    const std::string x = i < la.size() ? la[i] : "<end>";
+    const std::string y = i < lb.size() ? lb[i] : "<end>";
+    if (x != y) return "line " + std::to_string(i + 1) + ": '" + x + "' vs '" + y + "'";
+  }
+  return "";
+}
+
+/// Uid column of the first application-data line of a trace (0 if none).
+std::uint64_t first_data_uid(const std::string& text) {
+  for (const std::string& line : lines_of(text)) {
+    unsigned long long uid = 0;
+    char type[8] = {};
+    if (std::sscanf(line.c_str(), "%*c %*f %*s %*s %llu %7s", &uid, type) == 2 &&
+        std::string(type) == "cbr") {
+      return uid;
+    }
+  }
+  return 0;
+}
+
+// A trace is a pure function of (scenario, seed). Packet uids come from the
+// scenario's own counter, so neither a scenario that ran earlier in the
+// process nor replications running concurrently on other sweep workers can
+// shift them: the same traced cell yields the same bytes standalone, twice,
+// and inside a sweep grid at 1 and at 4 threads.
+TEST(Trace, TraceIsIndependentOfProcessHistoryAndSweepThreads) {
+  const std::string standalone = temp_path("trace_det_standalone.tr");
+  (void)Scenario::run_once(small_config(Protocol::kAodv, standalone));
+  const std::string reference = slurp(standalone);
+  ASSERT_GT(lines_of(reference).size(), 50u);
+  (void)Scenario::run_once(small_config(Protocol::kAodv, standalone));
+  EXPECT_EQ(first_difference(slurp(standalone), reference), "") << "second in-process run";
+
+  // AODV stays silent until traffic starts, so the scenario's first data
+  // packet is the first Packet it mints at all — whatever ran before it.
+  EXPECT_EQ(first_data_uid(reference), 1u);
+
+  for (const unsigned threads : {1u, 4u}) {
+    const std::string in_sweep =
+        temp_path(threads == 1 ? "trace_det_sweep1.tr" : "trace_det_sweep4.tr");
+    // Untraced neighbours before and after the traced cell: at 1 thread they
+    // run earlier on the same worker, at 4 they run concurrently with it.
+    const std::vector<SweepCell> cells = {
+        {"dsr", small_config(Protocol::kDsr, "")},
+        {"olsr", small_config(Protocol::kOlsr, "")},
+        {"traced", small_config(Protocol::kAodv, in_sweep)},
+        {"dsdv", small_config(Protocol::kDsdv, "")},
+    };
+    (void)SweepRunner(1, threads).run(cells);
+    EXPECT_EQ(first_difference(slurp(in_sweep), reference), "")
+        << "sweep at " << threads << " thread(s)";
+  }
 }
 
 }  // namespace
