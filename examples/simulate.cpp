@@ -38,7 +38,6 @@ using namespace manet;
       "  --loss P         per-frame loss probability          (default 0)\n"
       "  --no-rts         disable RTS/CTS\n"
       "  --trace FILE     write an ns-2-style event trace\n"
-      "  --shards K       kernel shards (0 = MANET_SHARDS)    (default 0)\n"
       "  --seed S         root seed                           (default 1)\n"
       "  --seeds K        replications (seed, seed+1, ...)    (default 1)\n"
       "  --quiet          print only the metric rows\n");
@@ -98,7 +97,6 @@ int main(int argc, char** argv) {
     else if (arg == "--loss") builder.frame_loss(std::atof(need(i)));
     else if (arg == "--no-rts") builder.with([](ScenarioConfig& c) { c.mac.use_rts = false; });
     else if (arg == "--trace") builder.trace(need(i));
-    else if (arg == "--shards") builder.shards(static_cast<std::uint32_t>(std::atoi(need(i))));
     else if (arg == "--seed") builder.seed(std::strtoull(need(i), nullptr, 10));
     else if (arg == "--seeds") seeds = std::atoi(need(i));
     else if (arg == "--quiet") quiet = true;

@@ -35,13 +35,6 @@ class EventQueue {
   /// Schedule `cb` at absolute time `at`. Returns a handle for cancel().
   EventId schedule(SimTime at, Callback cb);
 
-  /// Schedule with a caller-supplied tie-break sequence number. The sharded
-  /// executive allocates sequence numbers from ONE global counter across all
-  /// shard queues, so the merged pop order (time, seq) is identical to what a
-  /// single queue would produce. Sequence numbers must be strictly
-  /// increasing across calls on the same queue.
-  EventId schedule_seq(SimTime at, std::uint64_t seq, Callback cb);
-
   /// Cancel a previously scheduled event. Cancelling an already-executed,
   /// already-cancelled, or invalid id is a harmless no-op.
   void cancel(EventId id);
@@ -66,18 +59,6 @@ class EventQueue {
 
   /// Time of the earliest live event. Precondition: !empty().
   [[nodiscard]] SimTime next_time();
-
-  /// Ordering key of the earliest live event: (time, tie-break sequence).
-  /// The sharded executive compares head keys across shard queues to pick
-  /// the globally next event. Precondition: !empty().
-  struct HeadKey {
-    SimTime time;
-    std::uint64_t seq;
-
-    friend constexpr bool operator==(HeadKey, HeadKey) = default;
-    friend constexpr auto operator<=>(HeadKey, HeadKey) = default;
-  };
-  [[nodiscard]] HeadKey next_key();
 
   /// Remove and return the earliest live event. Precondition: !empty().
   struct Popped {

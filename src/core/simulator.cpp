@@ -1,200 +1,43 @@
 #include "core/simulator.hpp"
 
 #include "core/assert.hpp"
-#include "core/shard_sentinel.hpp"
 
 namespace manet {
-
-void Simulator::configure_shards(unsigned shards) {
-  MANET_EXPECTS_MSG(shards >= 1 && shards <= kMaxShards, "configure_shards(%u): want 1..%u", shards,
-                    kMaxShards);
-  MANET_EXPECTS_MSG(live_ == 0 && events_executed_ == 0 && now_ == SimTime::zero(),
-                    "configure_shards(%u) after the simulation started", shards);
-  queues_.clear();
-  queues_.resize(shards);
-  xq_.clear();
-  xq_.resize(static_cast<std::size_t>(shards) * shards);
-  events_per_shard_.assign(shards, 0);
-  exec_ = shards > 1 ? std::make_unique<ShardExecutor>(shards) : nullptr;
-  current_shard_ = 0;
-}
-
-void Simulator::set_context_shard(std::uint32_t shard) {
-  MANET_EXPECTS_MSG(shard < shards(), "context shard %u out of range (shards=%u)", shard, shards());
-  current_shard_ = shard;
-}
-
-void Simulator::set_lookahead(SimTime lookahead) {
-  MANET_EXPECTS_MSG(lookahead > SimTime::zero(), "lookahead must be positive, got %lldns",
-                    static_cast<long long>(lookahead.ns()));
-  lookahead_ = lookahead;
-}
-
-EventId Simulator::schedule_impl(std::uint32_t shard, SimTime at, EventQueue::Callback cb) {
-  const EventId raw = queues_[shard].schedule_seq(at, next_seq_++, std::move(cb));
-  // The shard tag lives in the top 3 bits; the queue's slot index (bits
-  // 32..63 of the raw id) must stay below them. 2^29 slots is far above any
-  // plausible live-event count, so this is a corruption tripwire.
-  MANET_ASSERT_MSG(untag(raw) == raw, "event slot index overflows into the shard tag bits");
-  ++live_;
-  if (live_ > peak_) peak_ = live_;
-  return tag(shard, raw);
-}
 
 EventId Simulator::schedule(SimTime delay, EventQueue::Callback cb) {
   MANET_EXPECTS_MSG(delay >= SimTime::zero(), "t=%lldns: negative delay %lldns — the past is immutable",
                     static_cast<long long>(now_.ns()), static_cast<long long>(delay.ns()));
-  return schedule_impl(current_shard_, now_ + delay, std::move(cb));
+  return queue_.schedule(now_ + delay, std::move(cb));
 }
 
 EventId Simulator::schedule_at(SimTime at, EventQueue::Callback cb) {
   MANET_EXPECTS_MSG(at >= now_, "schedule_at(%lldns) is in the past (now=%lldns)",
                     static_cast<long long>(at.ns()), static_cast<long long>(now_.ns()));
-  return schedule_impl(current_shard_, at, std::move(cb));
-}
-
-EventId Simulator::schedule_on(std::uint32_t shard, SimTime delay, EventQueue::Callback cb) {
-  MANET_EXPECTS_MSG(shard < shards(), "schedule_on(%u) out of range (shards=%u)", shard, shards());
-  MANET_EXPECTS_MSG(delay >= SimTime::zero(), "t=%lldns: negative delay %lldns — the past is immutable",
-                    static_cast<long long>(now_.ns()), static_cast<long long>(delay.ns()));
-  const SimTime at = now_ + delay;
-  if (shard == current_shard_) return schedule_impl(shard, at, std::move(cb));
-
-  // Cross-shard handoff: the event carries its globally allocated (time, seq)
-  // key through the per-(src, dst) FIFO, so the destination queue's head key
-  // slots into the global merge exactly where a single queue would have put
-  // it. The coordinator dispatches all callbacks serially in this prototype,
-  // so the handoff drains immediately; a threaded dispatch would drain at the
-  // next window barrier instead, and the FIFO (never reordering equal
-  // timestamps) is what keeps that future drain deterministic.
-  ++cross_shard_events_;
-  CrossShardQueue& q = xq_[current_shard_ * shards() + shard];
-  q.push(at, next_seq_++, std::move(cb));
-  CrossShardQueue::Entry e = q.pop();
-  const EventId raw = queues_[shard].schedule_seq(e.at, e.seq, std::move(e.cb));
-  MANET_ASSERT_MSG(untag(raw) == raw, "event slot index overflows into the shard tag bits");
-  ++live_;
-  if (live_ > peak_) peak_ = live_;
-  return tag(shard, raw);
-}
-
-void Simulator::cancel(EventId id) {
-  const EventId s = shard_of_id(id);
-  if (s >= shards()) return;  // stale/corrupt handle; harmless like EventQueue::cancel
-  EventQueue& q = queues_[s];
-  const EventId raw = untag(id);
-  if (!q.pending(raw)) return;
-  q.cancel(raw);
-  --live_;
-}
-
-bool Simulator::pending(EventId id) const {
-  const EventId s = shard_of_id(id);
-  return s < shards() && queues_[s].pending(untag(id));
-}
-
-std::uint64_t Simulator::events_executed_on(unsigned shard) const {
-  MANET_EXPECTS_MSG(shard < shards(), "shard %u out of range (shards=%u)", shard, shards());
-  return events_per_shard_[shard];
+  return queue_.schedule(at, std::move(cb));
 }
 
 std::uint64_t Simulator::run_until(SimTime until) {
   stopped_ = false;
-  return shards() == 1 ? run_until_single(until) : run_until_sharded(until);
-}
-
-std::uint64_t Simulator::run() { return run_until(SimTime::max()); }
-
-// The classic single-queue loop, kept branch-for-branch: this is the
-// benchmark-gated hot path and the default mode.
-std::uint64_t Simulator::run_until_single(SimTime until) {
-  EventQueue& queue = queues_[0];
   std::uint64_t ran = 0;
-  while (!queue.empty() && !stopped_) {
-    if (queue.next_time() > until) break;
-    auto ev = queue.pop();
+  while (!queue_.empty() && !stopped_) {
+    if (queue_.next_time() > until) break;
+    auto ev = queue_.pop();
     // Executive invariant: simulated time never moves backwards.
     MANET_ASSERT_MSG(ev.time >= now_, "event-queue time moved backwards: popped t=%lldns at now=%lldns",
                      static_cast<long long>(ev.time.ns()), static_cast<long long>(now_.ns()));
     now_ = ev.time;
-    --live_;
     ev.cb();
     ++ran;
     ++events_executed_;
   }
-  events_per_shard_[0] += ran;
   // Advance the clock to the horizon even if the queue drained early, so a
   // subsequent run_until() continues from a consistent point.
-  if (!stopped_ && (queue.empty() || queue.next_time() > until)) {
+  if (!stopped_ && (queue_.empty() || queue_.next_time() > until)) {
     if (until > now_ && until != SimTime::max()) now_ = until;
   }
   return ran;
 }
 
-int Simulator::earliest_shard() {
-  int best = -1;
-  EventQueue::HeadKey best_key{};
-  for (unsigned s = 0; s < queues_.size(); ++s) {
-    if (queues_[s].empty()) continue;
-    const EventQueue::HeadKey key = queues_[s].next_key();
-    if (best < 0 || key < best_key) {
-      best = static_cast<int>(s);
-      best_key = key;
-    }
-  }
-  return best;
-}
-
-// Conservative windowed merge. The outer loop opens a window at the globally
-// earliest head and closes it `lookahead` later; the inner loop pops the
-// globally smallest (time, seq) head until the window is exhausted. Because
-// every event — local or handed off — carries a sequence number from the one
-// global counter, the merged order is exactly the single-queue order, so any
-// shard count reproduces byte-identical results. The window structure is
-// what a threaded dispatch would synchronise on; with serialized dispatch it
-// only sets the cadence of the head re-scan.
-std::uint64_t Simulator::run_until_sharded(SimTime until) {
-  std::uint64_t ran = 0;
-  while (!stopped_) {
-    const int first = earliest_shard();
-    if (first < 0) break;  // every queue drained
-    const SimTime wstart = queues_[first].next_time();
-    if (wstart > until) break;
-    // horizon = min(wstart + lookahead, until), written overflow-safe for
-    // until == SimTime::max().
-    SimTime horizon = until;
-    if (until - wstart > lookahead_) horizon = wstart + lookahead_;
-
-    while (!stopped_) {
-      const int s = earliest_shard();
-      if (s < 0) break;
-      if (queues_[s].next_key().time > horizon) break;
-      auto ev = queues_[s].pop();
-      MANET_ASSERT_MSG(ev.time >= now_, "event-queue time moved backwards: popped t=%lldns at now=%lldns",
-                       static_cast<long long>(ev.time.ns()), static_cast<long long>(now_.ns()));
-      now_ = ev.time;
-      current_shard_ = static_cast<std::uint32_t>(s);
-      --live_;
-      {
-        // Debug builds: every state touch inside this callback must belong
-        // to shard s (see core/shard_sentinel.hpp).
-        MANET_SENTINEL_SCOPE(static_cast<std::uint32_t>(s), now_);
-        ev.cb();
-      }
-      ++ran;
-      ++events_executed_;
-      ++events_per_shard_[static_cast<unsigned>(s)];
-    }
-    current_shard_ = 0;
-  }
-  current_shard_ = 0;
-  if (!stopped_) {
-    const int s = earliest_shard();
-    if (s < 0 || queues_[s].next_time() > until) {
-      if (until > now_ && until != SimTime::max()) now_ = until;
-    }
-  }
-  return ran;
-}
+std::uint64_t Simulator::run() { return run_until(SimTime::max()); }
 
 }  // namespace manet

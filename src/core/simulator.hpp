@@ -1,97 +1,46 @@
-// The simulation executive: owns the clock and the event queue(s).
+// The simulation executive: owns the clock and the event queue.
 //
 // One Simulator instance per simulation run. Components hold a reference and
-// use schedule()/cancel()/now().
-//
-// Default mode (1 shard) is the classic single-threaded executive: one event
-// queue, events popped in (time, insertion-seq) order.
-//
-// Sharded mode (configure_shards(K), K in [2, kMaxShards]) is the
-// conservative-parallel prototype: every node belongs to a spatial shard,
-// each shard has its own event queue, and events scheduled from one shard
-// onto another travel through per-(src, dst) CrossShardQueue FIFOs carrying
-// their (time, seq) keys. Sequence numbers come from ONE global counter, so
-// the merged execution order — pop the shard whose head (time, seq) is
-// globally smallest — is byte-identical to the single-queue order whatever
-// the shard count. The executive advances in lookahead-bounded windows
-// [W, W + lookahead): `lookahead` is the minimum latency for an event in one
-// shard to cause a *new* event in another (PHY propagation floor + MAC SIFS
-// turnaround, see PhyConfig::lookahead), which bounds inter-shard clock skew
-// inside a window. In this prototype callbacks still execute on the
-// coordinating thread in merged order (shared channel/stats state is not yet
-// partitioned); shard-local phases — per-node mobility integration — run
-// concurrently on the ShardExecutor. See DESIGN.md "Parallel kernel".
+// use schedule()/cancel()/now(). The executive is strictly single-threaded:
+// events run in (time, insertion-seq) order on the calling thread.
+// Parallelism in manetsim lives across replications — SweepRunner runs
+// independent Simulators on worker threads.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "core/event_queue.hpp"
-#include "core/shard.hpp"
 #include "core/time.hpp"
 
 namespace manet {
 
 class Simulator {
  public:
-  Simulator() {
-    queues_.resize(1);
-    events_per_shard_.resize(1);
-  }
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  /// Switch to sharded mode with `shards` event queues and a worker pool.
-  /// Must be called before anything is scheduled; shards is clamped to
-  /// [1, kMaxShards] by the caller (see resolve_shard_count).
-  void configure_shards(unsigned shards);
-
-  /// Number of shards (1 unless configure_shards was called).
-  [[nodiscard]] unsigned shards() const { return static_cast<unsigned>(queues_.size()); }
-
-  /// Shard whose event is currently executing (or the build context shard).
-  [[nodiscard]] std::uint32_t current_shard() const { return current_shard_; }
-
-  /// Set the scheduling context outside of event execution (scenario build
-  /// wires each node's initial timers under that node's shard).
-  void set_context_shard(std::uint32_t shard);
-
-  /// The conservative lookahead: minimum sim-time for an event in one shard
-  /// to cause a new event in another. Bounds the execution window.
-  void set_lookahead(SimTime lookahead);
-  [[nodiscard]] SimTime lookahead() const { return lookahead_; }
-
-  /// The shard worker pool (nullptr in single-shard mode). Channel uses it
-  /// for the per-node mobility refresh fan-out.
-  [[nodiscard]] ShardExecutor* executor() { return exec_.get(); }
 
   /// Current simulated time.
   [[nodiscard]] SimTime now() const { return now_; }
 
-  /// Schedule `cb` to run `delay` from now on the current context shard.
-  /// Negative delays are a contract violation — the past is immutable.
+  /// Schedule `cb` to run `delay` from now. Negative delays are a contract
+  /// violation — the past is immutable.
   EventId schedule(SimTime delay, EventQueue::Callback cb);
 
   /// Schedule `cb` at absolute time `at` (must not be in the past).
   EventId schedule_at(SimTime at, EventQueue::Callback cb);
 
-  /// Schedule onto an explicit shard (cross-shard deliveries; the channel
-  /// targets the receiving node's shard). Routes through the deterministic
-  /// per-(src, dst) handoff FIFO when the target differs from the context.
-  EventId schedule_on(std::uint32_t shard, SimTime delay, EventQueue::Callback cb);
-
   /// Cancel a scheduled event (no-op if already run/cancelled).
-  void cancel(EventId id);
+  void cancel(EventId id) { queue_.cancel(id); }
 
   /// True iff the event is still pending.
-  [[nodiscard]] bool pending(EventId id) const;
+  [[nodiscard]] bool pending(EventId id) const { return queue_.pending(id); }
 
-  /// Run until the queues drain or simulated time would exceed `until`.
+  /// Run until the queue drains or simulated time would exceed `until`.
   /// Events exactly at `until` are executed. Returns the number of events run.
   std::uint64_t run_until(SimTime until);
 
-  /// Run until the queues drain completely.
+  /// Run until the queue drains completely.
   std::uint64_t run();
 
   /// Request that the run loop stop after the current event returns.
@@ -100,67 +49,17 @@ class Simulator {
   /// Number of events executed so far (for micro-benchmarks and tests).
   [[nodiscard]] std::uint64_t events_executed() const { return events_executed_; }
 
-  /// Events executed on one shard (load-balance accounting; merged into
-  /// ScenarioResult::events_per_shard).
-  [[nodiscard]] std::uint64_t events_executed_on(unsigned shard) const;
-
-  /// Events that crossed a shard boundary through a handoff FIFO.
-  [[nodiscard]] std::uint64_t cross_shard_events() const { return cross_shard_events_; }
-
-  /// Number of pending events across all shards.
-  [[nodiscard]] std::size_t queue_size() const { return live_; }
+  /// Number of pending events.
+  [[nodiscard]] std::size_t queue_size() const { return queue_.size(); }
 
   /// High-water mark of pending events over the run (profiling).
-  [[nodiscard]] std::size_t peak_queue_size() const { return peak_; }
+  [[nodiscard]] std::size_t peak_queue_size() const { return queue_.peak_size(); }
 
  private:
-  // EventIds reserve their top 3 bits for the owning shard so cancel() and
-  // pending() can route to the right queue; with one shard the tag is zero
-  // and ids are bit-identical to the untagged form.
-  static constexpr unsigned kShardShift = 61;
-  static constexpr EventId shard_of_id(EventId id) { return id >> kShardShift; }
-  static constexpr EventId untag(EventId id) { return id & ((EventId{1} << kShardShift) - 1); }
-  static constexpr EventId tag(std::uint32_t shard, EventId id) {
-    return (static_cast<EventId>(shard) << kShardShift) | id;
-  }
-
-  EventId schedule_impl(std::uint32_t shard, SimTime at, EventQueue::Callback cb);
-  std::uint64_t run_until_single(SimTime until);
-  std::uint64_t run_until_sharded(SimTime until);
-  /// Shard holding the globally smallest (time, seq) head, or -1 when all
-  /// queues are empty.
-  [[nodiscard]] int earliest_shard();
-
-  std::vector<EventQueue> queues_;          // one per shard
-  std::vector<CrossShardQueue> xq_;         // K*K handoff FIFOs, row-major (src, dst)
-  std::unique_ptr<ShardExecutor> exec_;     // workers, sharded mode only
-  std::vector<std::uint64_t> events_per_shard_;
-  SimTime lookahead_ = microseconds(10);
+  EventQueue queue_;
   SimTime now_ = SimTime::zero();
   bool stopped_ = false;
   std::uint64_t events_executed_ = 0;
-  std::uint64_t cross_shard_events_ = 0;
-  std::uint64_t next_seq_ = 0;
-  std::uint32_t current_shard_ = 0;
-  std::size_t live_ = 0;
-  std::size_t peak_ = 0;
-};
-
-/// RAII scheduling-context guard: events scheduled while the scope is alive
-/// land on `shard`. Used by the scenario builder to wire each node's initial
-/// timers into its own shard.
-class ShardScope {
- public:
-  ShardScope(Simulator& sim, std::uint32_t shard) : sim_(sim), prev_(sim.current_shard()) {
-    sim_.set_context_shard(shard);
-  }
-  ~ShardScope() { sim_.set_context_shard(prev_); }
-  ShardScope(const ShardScope&) = delete;
-  ShardScope& operator=(const ShardScope&) = delete;
-
- private:
-  Simulator& sim_;
-  std::uint32_t prev_;
 };
 
 }  // namespace manet

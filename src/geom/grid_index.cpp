@@ -15,11 +15,6 @@ GridIndex::GridIndex(Area area, double cell) : area_(area), cell_(cell) {
   cells_.resize(nx_ * ny_);
 }
 
-std::size_t GridIndex::column_of(Vec2 p) const {
-  const Vec2 q = area_.clamp(p);
-  return std::min(static_cast<std::size_t>(q.x / cell_), nx_ - 1);
-}
-
 std::size_t GridIndex::cell_of(Vec2 p) const {
   const Vec2 q = area_.clamp(p);
   const auto cx = static_cast<std::size_t>(q.x / cell_);

@@ -67,13 +67,6 @@ struct PhyConfig {
   /// Upper bound on propagation delay within carrier-sense range; used for
   /// MAC timeout sizing.
   [[nodiscard]] SimTime max_propagation() const { return propagation(cs_range_m); }
-
-  /// Lower bound on the propagation delay from a node in one spatial shard
-  /// to a node in another — the PHY's contribution to the conservative
-  /// kernel's lookahead. Stripe boundaries can place nodes of adjacent
-  /// shards arbitrarily close, so this is the 0 m floor; kept as a named
-  /// hook so a shard map that guarantees an inter-shard gap can raise it.
-  [[nodiscard]] SimTime min_propagation() const { return propagation(0.0); }
 };
 
 }  // namespace manet

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/assert.hpp"
-#include "core/shard_sentinel.hpp"
 #include "phy/channel.hpp"
 
 namespace manet {
@@ -52,7 +51,6 @@ void Transceiver::set_down(bool down) {
 }
 
 void Transceiver::rx_start(std::shared_ptr<const Packet> frame, SimTime airtime) {
-  MANET_SENTINEL_CHECK(id_, "Transceiver::rx_start");
   if (down_) return;
   const bool was_busy = medium_busy();
   ActiveRx rx{next_key_++, airtime, std::move(frame), false};

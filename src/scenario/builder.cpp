@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "core/assert.hpp"
-#include "core/shard.hpp"
 
 namespace manet {
 
@@ -93,7 +92,8 @@ ScenarioBuilder& ScenarioBuilder::duration(SimTime duration) {
 }
 
 ScenarioBuilder& ScenarioBuilder::shards(std::uint32_t count) {
-  cfg_.shards = count;
+  MANET_EXPECTS_MSG(count == 1, "shards(%u): the simulator has one executive; only 1 is accepted",
+                    count);
   return *this;
 }
 
@@ -190,9 +190,6 @@ ScenarioConfig ScenarioBuilder::build() const {
                       "traffic starts at %.3fs, after the run ends at %.3fs",
                       cfg.cbr_start.sec(), cfg.duration.sec());
   }
-
-  MANET_EXPECTS_MSG(cfg.shards <= kMaxShards, "shards=%u exceeds the kernel cap of %u",
-                    cfg.shards, kMaxShards);
 
   if (cfg.transport.enabled) {
     const TransportConfig& t = cfg.transport;

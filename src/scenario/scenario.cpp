@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "core/assert.hpp"
-#include "core/shard_sentinel.hpp"
 #include "mobility/random_walk.hpp"
 #include "mobility/random_waypoint.hpp"
 #include "mobility/static_mobility.hpp"
@@ -120,15 +119,9 @@ void Scenario::build() {
 
   channel_ = std::make_unique<Channel>(sim_, cfg_.phy, cfg_.area, milliseconds(250), cfg_.seed);
 
-  // Mobility models come first: the shard assignment is a pure function of
-  // the seeded initial placement, so every model must exist before the first
-  // node is wired up. All models live in the arena pool, id-ordered and
-  // contiguous, so the channel's periodic position refresh — the one loop
-  // that must visit every node — walks them sequentially in memory.
-  std::vector<MobilityModel*> mobility;
-  std::vector<Vec2> positions;
-  mobility.reserve(cfg_.num_nodes);
-  positions.reserve(cfg_.num_nodes);
+  // Mobility models live in the arena pool, id-ordered and contiguous, so
+  // the channel's periodic position refresh — the one loop that must visit
+  // every node — walks them sequentially in memory.
   for (std::uint32_t i = 0; i < cfg_.num_nodes; ++i) {
     MobilityModel* mob = nullptr;
     RngStream mrng(cfg_.seed, "mobility", i);
@@ -173,29 +166,7 @@ void Scenario::build() {
         }
       }
     }
-    positions.push_back(mob->position_at(SimTime::zero()));
-    mobility.push_back(mob);
-  }
-
-  // Shard the kernel before anything is scheduled. With one shard (the
-  // default) the map is the identity and the executive keeps its classic
-  // single-queue fast path.
-  shards_ = resolve_shard_count(cfg_.shards);
-  if (shards_ > 1) {
-    shard_map_ = ShardMap::striped(positions, cfg_.area, cfg_.phy.cs_range_m, shards_);
-  }
-  sim_.configure_shards(shards_);
-  // Lookahead: a frame radiated in one shard takes >= min propagation to
-  // reach another, and the earliest radiated consequence lags one SIFS
-  // turnaround behind that (see DESIGN.md "Parallel kernel").
-  const SimTime lookahead = cfg_.phy.min_propagation() + cfg_.mac.sifs;
-  if (lookahead > SimTime::zero()) sim_.set_lookahead(lookahead);
-  if (shards_ > 1) channel_->set_shards(&shard_map_);
-
-  for (std::uint32_t i = 0; i < cfg_.num_nodes; ++i) {
-    const ShardScope scope(sim_, shard_map_.shard_of(i));
-    nodes_.push_back(
-        std::make_unique<Node>(sim_, stats_, *channel_, i, mobility[i], cfg_.mac, cfg_.seed));
+    nodes_.push_back(std::make_unique<Node>(sim_, stats_, *channel_, i, mob, cfg_.mac, cfg_.seed));
   }
 
   if (!cfg_.trace_path.empty()) {
@@ -242,7 +213,6 @@ void Scenario::build() {
       cc.interval = cfg_.cbr_interval;
       cc.start = start;
       cc.stop = cfg_.duration;
-      // manet-lint: cross-shard-audited - build(): single-threaded wiring before the clock starts
       sources_.push_back(std::make_unique<CbrSource>(*nodes_[src], cc));
     } else {
       OnOffSource::Config oc;
@@ -255,7 +225,6 @@ void Scenario::build() {
       oc.start = start;
       oc.stop = cfg_.duration;
       onoff_sources_.push_back(std::make_unique<OnOffSource>(
-          // manet-lint: cross-shard-audited - build(): single-threaded wiring before the clock starts
           *nodes_[src], oc, RngStream(cfg_.seed, "onoff", c)));
     }
   }
@@ -273,22 +242,10 @@ void Scenario::build() {
     }
   }
 
-  // Initial timers land on their owner's shard: protocols under their node,
-  // traffic sources under the flow's source node, the channel refresh and
-  // the samplers below under shard 0 (the coordinator).
   channel_->start();
-  for (std::uint32_t i = 0; i < protocols_.size(); ++i) {
-    const ShardScope scope(sim_, shard_map_.shard_of(i));
-    protocols_[i]->start();
-  }
-  for (std::size_t c = 0; c < sources_.size(); ++c) {
-    const ShardScope scope(sim_, shard_map_.shard_of(flows_[c].first));
-    sources_[c]->start();
-  }
-  for (std::size_t c = 0; c < onoff_sources_.size(); ++c) {
-    const ShardScope scope(sim_, shard_map_.shard_of(flows_[c].first));
-    onoff_sources_[c]->start();
-  }
+  for (auto& protocol : protocols_) protocol->start();
+  for (auto& source : sources_) source->start();
+  for (auto& source : onoff_sources_) source->start();
 
   if (cfg_.measure_connectivity && !flows_.empty()) {
     sim_.schedule_at(cfg_.cbr_start, [this] { sample_connectivity(); });
@@ -361,20 +318,14 @@ void Scenario::apply_fault(const FaultEvent& ev) {
   fault_runtime_.apply(ev);
   char note[64];
   switch (ev.kind) {
-    case FaultEventKind::kCrash: {
-      MANET_SENTINEL_EXEMPT("fault injection is coordinator-serialized; crash may target any shard");
-      // manet-lint: cross-shard-audited - fault events run serialized on the coordinator; the sentinel exempts this scope
+    case FaultEventKind::kCrash:
       nodes_[ev.a]->crash();  // records its own trace line
       stats_.on_fault_begin(ev.at);
       return;
-    }
-    case FaultEventKind::kRestart: {
-      MANET_SENTINEL_EXEMPT("fault injection is coordinator-serialized; restart may target any shard");
-      // manet-lint: cross-shard-audited - fault events run serialized on the coordinator; the sentinel exempts this scope
+    case FaultEventKind::kRestart:
       nodes_[ev.a]->restart();
       stats_.on_fault_end(ev.at);
       return;
-    }
     case FaultEventKind::kLinkDown:
     case FaultEventKind::kLinkUp:
       std::snprintf(note, sizeof(note), "%s %u-%u", to_string(ev.kind), ev.a, ev.b);
@@ -408,10 +359,6 @@ void Scenario::apply_fault(const FaultEvent& ev) {
 ScenarioResult Scenario::run() {
   const PacketUidScope uids(next_uid_);
   build();
-  // Debug builds: arm the shard sentinel for sharded runs so any handler
-  // touching a foreign shard's node aborts with full context. Unarmed for
-  // shards_ == 1 (everything is shard 0 by definition).
-  MANET_SENTINEL_BIND(shard_map_, shards_ > 1);
   sim_.run_until(cfg_.duration);
   if (trace_) trace_->flush();
 
@@ -432,12 +379,6 @@ ScenarioResult Scenario::run() {
   r.mac_ctrl_tx = stats_.mac_ctrl_tx();
   r.events = sim_.events_executed();
   r.peak_queue_depth = sim_.peak_queue_size();
-  r.shards = sim_.shards();
-  r.cross_shard_events = sim_.cross_shard_events();
-  r.events_per_shard.reserve(sim_.shards());
-  for (unsigned s = 0; s < sim_.shards(); ++s) {
-    r.events_per_shard.push_back(sim_.events_executed_on(s));
-  }
   r.repair_latency_ms = stats_.mean_repair_latency_s() * 1e3;
   r.crashes = stats_.crashes();
   r.fault_corrupted = stats_.fault_corrupted();

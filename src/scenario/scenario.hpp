@@ -99,12 +99,6 @@ struct ScenarioConfig {
   // Duration.
   SimTime duration = seconds(150);
 
-  /// Spatial shards for the conservative-parallel kernel (see core/shard.hpp
-  /// and DESIGN.md "Parallel kernel"). 0 means "from the MANET_SHARDS
-  /// environment variable, default 1". Any value reproduces byte-identical
-  /// results; > 1 exercises the sharded executive.
-  std::uint32_t shards = 0;
-
   /// Fault injection (disabled by default). When enabled, the schedule is
   /// compiled from (fault, seed) before the run starts; see src/fault/.
   FaultConfig fault;
@@ -155,13 +149,6 @@ struct ScenarioResult {
   /// High-water mark of the event queue during the run (profiling).
   std::size_t peak_queue_depth = 0;
 
-  // Sharded-kernel accounting (shards == 1, zeros elsewhere, when unsharded).
-  std::uint32_t shards = 1;
-  /// Events that crossed a shard boundary through a handoff FIFO.
-  std::uint64_t cross_shard_events = 0;
-  /// Events executed per shard (load-balance accounting; sums to `events`).
-  std::vector<std::uint64_t> events_per_shard;
-
   // Fault-injection outcomes (all zero for fault-free runs).
   /// Mean time from an outage healing to the next delivered data packet, ms.
   double repair_latency_ms = 0.0;
@@ -192,7 +179,6 @@ class Scenario {
   [[nodiscard]] Simulator& sim() { return sim_; }
   [[nodiscard]] StatsCollector& stats() { return stats_; }
   [[nodiscard]] Channel& channel() { return *channel_; }
-  // manet-lint: cross-shard-audited - test/driver accessor; any in-run cross-shard use trips the ShardSentinel
   [[nodiscard]] Node& node(std::size_t i) { return *nodes_[i]; }
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
   [[nodiscard]] RoutingProtocol& routing(std::size_t i) { return *protocols_[i]; }
@@ -204,8 +190,6 @@ class Scenario {
   [[nodiscard]] const FlowMonitor& flow_monitor() const { return flow_monitor_; }
   /// The compiled fault schedule (empty when fault injection is disabled).
   [[nodiscard]] const FaultPlan& fault_plan() const { return fault_plan_; }
-  /// Node -> shard assignment (identity map when unsharded).
-  [[nodiscard]] const ShardMap& shard_map() const { return shard_map_; }
 
  private:
   void sample_connectivity();
@@ -215,8 +199,6 @@ class Scenario {
   /// The uid the scenario's next Packet receives (see PacketUidScope).
   std::uint64_t next_uid_ = 1;
   Simulator sim_;
-  ShardMap shard_map_;
-  unsigned shards_ = 1;
   StatsCollector stats_;
   // Declared before channel_/nodes_: those hold raw pointers into the pool
   // and must be destroyed first (reverse declaration order).

@@ -17,8 +17,8 @@
 //     "output": {"dir": "results"},
 //     "base": {                               // defaults = Table I
 //       "protocol": "AODV", "seed": 1, "nodes": 40, "area_m": [1500, 300],
-//       "static": false, "duration_s": 150, "shards": 0,
-//       "measure_connectivity": true, "trace": "path.tr",
+//       "static": false, "duration_s": 150, "measure_connectivity": true,
+//       "trace": "path.tr",
 //       "mobility": {"model": "waypoint|walk|gauss-markov|manhattan",
 //                    "v_min_mps": 0.1, "v_max_mps": 20, "pause_s": 0,
 //                    "warmup_s": 1000, "block_m": 200, "p_turn": 0.5},

@@ -47,9 +47,6 @@ struct RunProfile {
   /// sweep runs single-threaded, seed-by-seed (the bench_gate recipe); an
   /// upper bound otherwise.
   std::uint64_t peak_rss_bytes = 0;
-  /// Sharded-kernel accounting (1 / 0 for unsharded runs).
-  std::uint32_t shards = 1;
-  std::uint64_t cross_shard_events = 0;
   /// Reliable-transport accounting, empty/0 when transport is disabled so
   /// transport-free artifacts stay byte-identical to pre-transport ones.
   std::uint64_t retransmissions = 0;

@@ -26,7 +26,6 @@ TEST(ScenarioBuilder, DefaultBuildMatchesTableOneDefaults) {
   EXPECT_EQ(built.v_max, defaults.v_max);
   EXPECT_EQ(built.duration, defaults.duration);
   EXPECT_EQ(built.num_connections, defaults.num_connections);
-  EXPECT_EQ(built.shards, defaults.shards);
 }
 
 TEST(ScenarioBuilder, SettersStageExactlyTheNamedFields) {
@@ -43,7 +42,6 @@ TEST(ScenarioBuilder, SettersStageExactlyTheNamedFields) {
                                  .traffic(TrafficKind::kOnOff)
                                  .cbr_interval(seconds_f(0.5))
                                  .duration(seconds(90))
-                                 .shards(2)
                                  .trace("/tmp/t.tr")
                                  .frame_loss(0.05)
                                  .build();
@@ -61,7 +59,6 @@ TEST(ScenarioBuilder, SettersStageExactlyTheNamedFields) {
   EXPECT_EQ(cfg.traffic, TrafficKind::kOnOff);
   EXPECT_EQ(cfg.cbr_interval, seconds_f(0.5));
   EXPECT_EQ(cfg.duration, seconds(90));
-  EXPECT_EQ(cfg.shards, 2u);
   EXPECT_EQ(cfg.trace_path, "/tmp/t.tr");
   EXPECT_EQ(cfg.phy.frame_loss_rate, 0.05);
 }
@@ -137,8 +134,10 @@ TEST(ScenarioBuilderDeathTest, RejectsInvertedSpeedRange) {
   EXPECT_DEATH((void)ScenarioBuilder().speed(5.0, 1.0).build(), "v_m");
 }
 
-TEST(ScenarioBuilderDeathTest, RejectsShardCountAboveKernelCap) {
-  EXPECT_DEATH((void)ScenarioBuilder().shards(64).build(), "shards");
+TEST(ScenarioBuilderDeathTest, ShardsShimAcceptsOnlyOne) {
+  // shards() survives only as a shim for callers that still pin 1.
+  EXPECT_EQ(ScenarioBuilder().shards(1).nodes(12).build().num_nodes, 12u);
+  EXPECT_DEATH((void)ScenarioBuilder().shards(2), "shards");
 }
 
 TEST(ScenarioBuilderDeathTest, RejectsFrameLossOutsideUnitInterval) {

@@ -116,40 +116,6 @@ TEST(EventQueue, ClearResetsPeakSize) {
   EXPECT_EQ(q.peak_size(), 2u);  // new life, new high-water mark
 }
 
-TEST(EventQueue, ScheduleSeqOrdersTiesByCallerSeq) {
-  // schedule_seq lets the sharded simulator stamp a global sequence number;
-  // ties at equal time must pop in caller-seq order even when insertion
-  // order disagrees.
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule_seq(milliseconds(5), 20, [&] { order.push_back(2); });
-  q.schedule_seq(milliseconds(5), 10, [&] { order.push_back(1); });
-  q.schedule_seq(milliseconds(5), 30, [&] { order.push_back(3); });
-  while (!q.empty()) q.pop().cb();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, ScheduleSeqKeepsInternalCounterCoherent) {
-  // Plain schedule() after schedule_seq() must not mint a seq below one
-  // already used, or the later event would jump the queue at equal time.
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule_seq(milliseconds(5), 100, [&] { order.push_back(1); });
-  q.schedule(milliseconds(5), [&] { order.push_back(2); });  // must sort after
-  while (!q.empty()) q.pop().cb();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(EventQueue, NextKeyReportsHeadTimeAndSeq) {
-  EventQueue q;
-  EXPECT_TRUE(q.empty());
-  q.schedule_seq(milliseconds(7), 42, [] {});
-  q.schedule_seq(milliseconds(3), 99, [] {});
-  const auto head = q.next_key();
-  EXPECT_EQ(head.time, milliseconds(3));
-  EXPECT_EQ(head.seq, 99u);
-}
-
 TEST(EventQueue, IdsAreNeverReused) {
   EventQueue q;
   const EventId a = q.schedule(milliseconds(1), [] {});

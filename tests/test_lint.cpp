@@ -37,8 +37,8 @@ int count_rule(const std::vector<Finding>& fs, const std::string& id) {
       fs.begin(), fs.end(), [&](const Finding& f) { return f.rule == id; }));
 }
 
-/// Lint a fixture file's text as if it lived at `fake_path` — the shard-
-/// safety rules are path-scoped (src/, src/routing/, ...) and the fixture
+/// Lint a fixture file's text as if it lived at `fake_path` — MLNT011 and
+/// MLNT015 apply only under some paths (src/, src/phy/, ...) and the fixture
 /// directory is deliberately outside all of those.
 std::vector<Finding> lint_fixture_as(const std::string& name, const std::string& fake_path) {
   std::ifstream in(kFixtures + "/" + name);
@@ -171,67 +171,34 @@ TEST(LintEngine, IdentifiersContainingBannedNamesNotFlagged) {
   EXPECT_TRUE(lint_text("x.cpp", cpp).empty());
 }
 
-TEST(LintEngine, RuleTableCoversMlnt001Through015) {
-  EXPECT_EQ(manet::lint::rules().size(), 15u);
+TEST(LintEngine, RuleTableHoldsThirteenRules) {
+  // MLNT001-011 and MLNT014-015; the ids of retired rules are not reused.
+  EXPECT_EQ(manet::lint::rules().size(), 13u);
 }
 
 // ---------------------------------------------------------------------------
-// Shard-safety rule family (MLNT011-014)
+// Scoped rules (MLNT011, MLNT014, MLNT015): each covers only part of the tree
 // ---------------------------------------------------------------------------
 
-TEST(ShardSafetyRules, MutableStaticsFlaggedInSrc) {
-  const auto fs = lint_fixture_as("shard_globals.cpp", "src/fake/globals.cpp");
+TEST(ScopedRules, MutableStaticsFlaggedInSrc) {
+  const auto fs = lint_fixture_as("mutable_globals.cpp", "src/fake/globals.cpp");
   EXPECT_EQ(count_rule(fs, "MLNT011"), 4) << "namespace-scope, brace-init static, "
                                              "static data member, function-local static";
 }
 
-TEST(ShardSafetyRules, MutableStaticsSuppressedByRationale) {
-  EXPECT_TRUE(lint_fixture_as("shard_globals_suppressed.cpp", "src/fake/globals.cpp").empty());
+TEST(ScopedRules, MutableStaticsSuppressedByRationale) {
+  EXPECT_TRUE(lint_fixture_as("mutable_globals_suppressed.cpp", "src/fake/globals.cpp").empty());
 }
 
-TEST(ShardSafetyRules, MutableStaticsIgnoredOutsideSrc) {
-  // Tools/tests may keep process-global state; only simulator code shards.
-  EXPECT_EQ(count_rule(lint_fixture_as("shard_globals.cpp", "tools/fake/globals.cpp"),
+TEST(ScopedRules, MutableStaticsIgnoredOutsideSrc) {
+  // Tools/tests may keep process-global state; only simulator code runs on
+  // SweepRunner workers.
+  EXPECT_EQ(count_rule(lint_fixture_as("mutable_globals.cpp", "tools/fake/globals.cpp"),
                        "MLNT011"),
             0);
 }
 
-TEST(ShardSafetyRules, CrossNodeAccessFlaggedInNodeLayers) {
-  const auto fs = lint_fixture_as("cross_node.cpp", "src/routing/fake/mesh.cpp");
-  EXPECT_EQ(count_rule(fs, "MLNT012"), 3) << "nodes_[...] x2 and a .node(...) member call";
-}
-
-TEST(ShardSafetyRules, CrossNodeAccessSuppressedByRationale) {
-  EXPECT_TRUE(lint_fixture_as("cross_node_suppressed.cpp", "src/routing/fake/mesh.cpp").empty());
-}
-
-TEST(ShardSafetyRules, CrossNodeAccessIgnoredInKernel) {
-  // src/core owns the delivery machinery; the rule scopes to the layers
-  // holding per-node state (+ src/scenario, the composition root).
-  EXPECT_EQ(count_rule(lint_fixture_as("cross_node.cpp", "src/core/fake.cpp"), "MLNT012"), 0);
-}
-
-TEST(ShardSafetyRules, ForeignScheduleFlagged) {
-  const auto fs = lint_fixture_as("foreign_schedule.cpp", "src/routing/fake/proto.cpp");
-  EXPECT_EQ(count_rule(fs, "MLNT013"), 3)
-      << "two foreign sim() handles and one schedule_on() injection";
-}
-
-TEST(ShardSafetyRules, ForeignScheduleSuppressedByRationale) {
-  EXPECT_TRUE(
-      lint_fixture_as("foreign_schedule_suppressed.cpp", "src/routing/fake/proto.cpp").empty());
-}
-
-TEST(ShardSafetyRules, ScheduleOnAllowedInKernelAndPhy) {
-  // The kernel and the PHY delivery path ARE the sanctioned cross-shard
-  // machinery; the member-call form must not fire there.
-  EXPECT_EQ(count_rule(lint_fixture_as("foreign_schedule.cpp", "src/core/fake.cpp"), "MLNT013"),
-            0);
-  EXPECT_EQ(count_rule(lint_fixture_as("foreign_schedule.cpp", "src/phy/fake.cpp"), "MLNT013"),
-            0);
-}
-
-TEST(ShardSafetyRules, FullNodeScanFlaggedInHotPathLayers) {
+TEST(ScopedRules, FullNodeScanFlaggedInHotPathLayers) {
   const auto fs = lint_fixture_as("full_node_scan.cpp", "src/phy/fake.cpp");
   EXPECT_EQ(count_rule(fs, "MLNT015"), 4)
       << "two range-fors (trx_, nodes_) and two index loops (node_count, mob_.size)";
@@ -239,12 +206,12 @@ TEST(ShardSafetyRules, FullNodeScanFlaggedInHotPathLayers) {
   EXPECT_EQ(count_rule(lint_fixture_as("full_node_scan.cpp", "src/net/fake.cpp"), "MLNT015"), 4);
 }
 
-TEST(ShardSafetyRules, FullNodeScanSuppressedByRationale) {
+TEST(ScopedRules, FullNodeScanSuppressedByRationale) {
   EXPECT_TRUE(
       lint_fixture_as("full_node_scan_suppressed.cpp", "src/phy/fake.cpp").empty());
 }
 
-TEST(ShardSafetyRules, FullNodeScanIgnoredOutsideHotPathLayers) {
+TEST(ScopedRules, FullNodeScanIgnoredOutsideHotPathLayers) {
   // Scenario setup and tools legitimately walk every node; the rule scopes
   // to the per-event layers only.
   EXPECT_EQ(
@@ -252,7 +219,7 @@ TEST(ShardSafetyRules, FullNodeScanIgnoredOutsideHotPathLayers) {
   EXPECT_EQ(count_rule(lint_fixture_as("full_node_scan.cpp", "tools/fake.cpp"), "MLNT015"), 0);
 }
 
-TEST(ShardSafetyRules, MissingRestartOverrideFlagged) {
+TEST(ScopedRules, MissingRestartOverrideFlagged) {
   const auto fs = lint_file(kFixtures + "/missing_restart.cpp");
   ASSERT_EQ(count_rule(fs, "MLNT014"), 1) << "NaiveFlood only; CleanProtocol overrides, "
                                              "NotAProtocol does not derive";
@@ -263,7 +230,7 @@ TEST(ShardSafetyRules, MissingRestartOverrideFlagged) {
   }
 }
 
-TEST(ShardSafetyRules, MissingRestartSuppressedByRationale) {
+TEST(ScopedRules, MissingRestartSuppressedByRationale) {
   EXPECT_TRUE(lint_file(kFixtures + "/missing_restart_suppressed.cpp").empty());
 }
 

@@ -10,9 +10,9 @@
 //   2. Manhattan mobility determinism: per-seed golden fingerprints (pinned
 //      byte-exact), street-constrained positions, and pure-function-of-time
 //      replay.
-//   3. The urban family: all registered protocols run it unchanged, results
-//      are byte-identical across MANET_SHARDS ∈ {1,2,4}, and faulted urban
-//      runs (crash + restart) replay identically — restart safety.
+//   3. The urban family: all registered protocols run it unchanged, and
+//      faulted urban runs (crash + restart) replay identically — restart
+//      safety.
 //   4. A 5000-node city completes a short run with bounded memory per node
 //      (the structural end of the 10k acceptance run, which lives in the
 //      fig_scale bench).
@@ -227,35 +227,18 @@ TEST(UrbanFamily, ShadowingActuallyBites) {
   EXPECT_LE(on.connectivity, off.connectivity);
 }
 
-TEST(UrbanFamily, ByteIdenticalAcrossShardCounts) {
-  ScenarioBuilder b = urban_scenario(60).protocol(Protocol::kAodv).seed(1).duration(seconds(20));
-  const ScenarioResult one = Scenario::run_once(b.shards(1).build());
-  const ScenarioResult two = Scenario::run_once(b.shards(2).build());
-  const ScenarioResult four = Scenario::run_once(b.shards(4).build());
-  EXPECT_EQ(result_fingerprint(two), result_fingerprint(one))
-      << "urban family diverged at 2 shards";
-  EXPECT_EQ(result_fingerprint(four), result_fingerprint(one))
-      << "urban family diverged at 4 shards";
-  // Non-vacuous: the sharded runs really split the city.
-  EXPECT_GT(two.cross_shard_events, 0u);
-  EXPECT_GT(four.cross_shard_events, 0u);
-}
-
-TEST(UrbanFamily, FaultedRunsReplayAndShardIdentically) {
+TEST(UrbanFamily, FaultedRunsReplayIdentically) {
   FaultConfig fault;
   fault.crash_rate = 1.0;
   fault.downtime_mean = seconds(4);
   fault.window_from = seconds(4);
   ScenarioBuilder b =
       urban_scenario(40).protocol(Protocol::kAodv).seed(5).duration(seconds(20)).fault(fault);
-  const ScenarioResult first = Scenario::run_once(b.shards(1).build());
-  const ScenarioResult again = Scenario::run_once(b.shards(1).build());
+  const ScenarioResult first = Scenario::run_once(b.build());
+  const ScenarioResult again = Scenario::run_once(b.build());
   EXPECT_EQ(result_fingerprint(again), result_fingerprint(first))
       << "faulted urban run not replay-safe";
   EXPECT_GT(first.crashes, 0u) << "fault plan produced no crashes; restart path untested";
-  const ScenarioResult sharded = Scenario::run_once(b.shards(2).build());
-  EXPECT_EQ(result_fingerprint(sharded), result_fingerprint(first))
-      << "faulted urban run diverged sharded";
 }
 
 // ---------------------------------------------------------------------------

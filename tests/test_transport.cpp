@@ -17,6 +17,8 @@
 //      epoch counter survives, so the next incarnation outranks stale
 //      segments still in flight; a crashed receiver converges via
 //      abort + fresh epoch.
+//   5. Goldens: every protocol's full-scenario fingerprint with transport
+//      on is pinned byte-exact, so silent behaviour drift is caught.
 
 #include "transport/transport.hpp"
 
@@ -31,6 +33,7 @@
 #include "core/time.hpp"
 #include "net/node.hpp"
 #include "net/routing_api.hpp"
+#include "scenario/builder.hpp"
 #include "testutil.hpp"
 
 namespace manet {
@@ -458,6 +461,59 @@ TEST(TransportRestart, ReceiverCrashConvergesViaAbortAndFreshEpoch) {
   // Both ends agree on the surviving incarnation.
   EXPECT_EQ(h.tp1->receiver_view(1).epoch, h.tp0->sender_view(1).epoch);
   EXPECT_GT(h.tp0->sender_view(1).epoch, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// 5. Full-scenario goldens
+// ---------------------------------------------------------------------------
+
+TEST(TransportGolden, EveryProtocolPinnedWithTransportOn) {
+  // 14 nodes, 650x650 m, 4 connections, 25 s, seed 1. The transport adds
+  // cross-node feedback loops (ACKs, RTO timers, closed-loop sources); the
+  // pinned fingerprints catch any drift in them.
+  const struct {
+    const char* protocol;
+    const char* golden;
+  } kGoldens[] = {
+      {"AODV",
+       "events=60675 orig=155 deliv=155 rtx=32 mac=1612 tretx=1 flows=4 "
+       "pdr=1 delay=24.4912135355 nrl=0.206451612903 hops=1.66451612903 conn=1"},
+      {"DSR",
+       "events=60481 orig=155 deliv=155 rtx=36 mac=1612 tretx=0 flows=4 "
+       "pdr=1 delay=6.65363146452 nrl=0.232258064516 hops=1.66451612903 conn=1"},
+      {"CBRP",
+       "events=71014 orig=155 deliv=155 rtx=233 mac=1735 tretx=0 flows=4 "
+       "pdr=1 delay=6.29110536774 nrl=1.50322580645 hops=1.66451612903 conn=1"},
+      {"DSDV",
+       "events=74292 orig=155 deliv=155 rtx=464 mac=1622 tretx=0 flows=4 "
+       "pdr=1 delay=6.1661884129 nrl=2.9935483871 hops=1.67741935484 conn=1"},
+      {"OLSR",
+       "events=67576 orig=155 deliv=155 rtx=282 mac=1591 tretx=0 flows=4 "
+       "pdr=1 delay=5.99328171613 nrl=1.81935483871 hops=1.66451612903 conn=1"},
+      {"LAR",
+       "events=68359 orig=155 deliv=155 rtx=114 mac=1759 tretx=1 flows=4 "
+       "pdr=1 delay=26.3854300194 nrl=0.735483870968 hops=1.85161290323 conn=1"},
+      {"TORA",
+       "events=74413 orig=155 deliv=155 rtx=489 mac=1600 tretx=1 flows=4 "
+       "pdr=1 delay=25.1729141161 nrl=3.15483870968 hops=1.66451612903 conn=1"},
+  };
+  TransportConfig transport;
+  transport.enabled = true;
+  for (const auto& g : kGoldens) {
+    const ScenarioResult r = ScenarioBuilder()
+                                 .protocol(g.protocol)
+                                 .seed(1)
+                                 .nodes(14)
+                                 .area(650.0, 650.0)
+                                 .speed(0.1, 6.0)
+                                 .connections(4)
+                                 .duration(seconds(25))
+                                 .transport(transport)
+                                 .run();
+    test::expect_golden(test::result_fingerprint(r), g.golden, g.protocol);
+    // Closed-loop traffic really flowed through the transport.
+    EXPECT_FALSE(r.flows.empty()) << g.protocol;
+  }
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 // stars) instead of random scenarios.
 //
 // result_fingerprint() + expect_golden() are the one shared vocabulary for
-// the pinned byte-exact determinism suites (test_shards, test_scale,
+// the pinned byte-exact determinism suites (test_transport, test_scale,
 // test_fault): every observable a run produces rendered as one exact-match
 // string, and one regeneration protocol (MANET_PRINT_GOLDENS=1) for all of
 // them.
@@ -51,7 +51,7 @@ inline void expect_golden(const std::string& got, std::string_view golden,
 }
 
 /// Everything observable a run produces, as one exact-match string — the
-/// shared fingerprint of the shard-identity, urban, and fault determinism
+/// shared fingerprint of the transport, urban, and fault determinism
 /// suites. Includes the transport counters; transport-off runs render them
 /// as tretx=0 flows=0, so pre-transport fingerprints extend, not fork.
 inline std::string result_fingerprint(const ScenarioResult& r) {

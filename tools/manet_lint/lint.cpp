@@ -37,12 +37,8 @@ const std::vector<RuleInfo> kRules = {
      "manet-lint suppression with unknown tag or missing rationale"},
     {"MLNT010", "scenario-config-aggregate", "allow-scenario-config",
      "brace-constructing ScenarioConfig bypasses ScenarioBuilder validation"},
-    {"MLNT011", "shard-unsafe-global", "allow-global-state",
-     "mutable namespace-scope/static state in src/ defeats shard confinement"},
-    {"MLNT012", "cross-node-access", "cross-shard-audited",
-     "direct access to another node's state bypasses the shard-safe delivery path"},
-    {"MLNT013", "foreign-shard-schedule", "allow-foreign-schedule",
-     "scheduling into a foreign node/shard context outside the CrossShardQueue path"},
+    {"MLNT011", "shared-mutable-global", "allow-global-state",
+     "mutable global state is shared by SweepRunner workers"},
     {"MLNT014", "missing-restart-override", "allow-no-restart",
      "RoutingProtocol subclass lacks an on_node_restart() cold-restart override"},
     {"MLNT015", "full-node-scan", "allow-node-scan",
@@ -567,91 +563,6 @@ struct ScopeAnalysis {
 }
 
 // ---------------------------------------------------------------------------
-// Shard-safety line matchers (MLNT012/MLNT013)
-// ---------------------------------------------------------------------------
-
-/// Member call `<expr>.name(` / `<expr>->name(` with identifier boundaries.
-[[nodiscard]] bool has_member_call(const std::string& code, std::string_view name) {
-  std::size_t pos = 0;
-  while ((pos = code.find(name, pos)) != std::string::npos) {
-    const std::size_t end = pos + name.size();
-    const bool member = pos > 0 && (code[pos - 1] == '.' ||
-                                    (pos >= 2 && code[pos - 1] == '>' && code[pos - 2] == '-'));
-    if (member && (end >= code.size() || !is_ident(code[end]))) {
-      std::size_t j = end;
-      while (j < code.size() && code[j] == ' ') ++j;
-      if (j < code.size() && code[j] == '(') return true;
-    }
-    pos = end;
-  }
-  return false;
-}
-
-/// Direct peer-state access: `nodes_[...]` indexing or a `.node(`/`->node(`
-/// member call (Scenario::node(id) and friends).
-[[nodiscard]] bool has_cross_node_access(const std::string& code) {
-  if (code.find("nodes_[") != std::string::npos) return true;
-  return has_member_call(code, "node");
-}
-
-/// `X.sim().<method>` / `X->sim().<method>` where X is not the owning node:
-/// scheduling (or cancelling) through a *foreign* node's simulator handle.
-/// Returns the foreign expression's identifier, or "" when clean. Bare
-/// `sim().schedule(...)` (the component's own accessor) and `sim_.` members
-/// are the sanctioned forms.
-[[nodiscard]] std::string foreign_sim_schedule(const std::string& code) {
-  std::size_t pos = 0;
-  while ((pos = code.find("sim", pos)) != std::string::npos) {
-    const std::size_t end = pos + 3;
-    const bool lb = pos == 0 || !is_ident(code[pos - 1]);
-    if (!lb || (end < code.size() && is_ident(code[end]))) {
-      pos = end;
-      continue;
-    }
-    // Match `sim ( ) . <method>`.
-    std::size_t j = end;
-    const auto skip_spaces = [&] { while (j < code.size() && code[j] == ' ') ++j; };
-    skip_spaces();
-    if (j >= code.size() || code[j] != '(') { pos = end; continue; }
-    ++j;
-    skip_spaces();
-    if (j >= code.size() || code[j] != ')') { pos = end; continue; }
-    ++j;
-    skip_spaces();
-    if (j >= code.size() || code[j] != '.') { pos = end; continue; }
-    ++j;
-    skip_spaces();
-    std::size_t me = j;
-    while (me < code.size() && is_ident(code[me])) ++me;
-    const std::string_view method = std::string_view(code).substr(j, me - j);
-    if (method != "schedule" && method != "schedule_at" && method != "schedule_on" &&
-        method != "cancel") {
-      pos = end;
-      continue;
-    }
-    // Owner of the sim() call: the expression before `.sim()` / `->sim()`.
-    std::size_t b = pos;
-    while (b > 0 && code[b - 1] == ' ') --b;
-    bool member = false;
-    if (b > 0 && code[b - 1] == '.') {
-      member = true;
-      --b;
-    } else if (b >= 2 && code[b - 1] == '>' && code[b - 2] == '-') {
-      member = true;
-      b -= 2;
-    }
-    if (!member) { pos = end; continue; }  // own accessor: sim().schedule(...)
-    while (b > 0 && code[b - 1] == ' ') --b;
-    std::size_t bs = b;
-    while (bs > 0 && is_ident(code[bs - 1])) --bs;
-    const std::string owner = code.substr(bs, b - bs);
-    if (owner != "node_" && owner != "node" && owner != "this") return owner.empty() ? "<expr>" : owner;
-    pos = end;
-  }
-  return {};
-}
-
-// ---------------------------------------------------------------------------
 // Suppressions
 // ---------------------------------------------------------------------------
 
@@ -813,16 +724,9 @@ void check(const std::string& path, const std::vector<LineView>& lines,
   // src/scenario/ is the one place allowed to assemble configs by hand (it
   // IS the builder/validator).
   const bool mlnt010_applies = path.find("/scenario/") == std::string::npos;
-  // Shard-safety scopes. MLNT011 covers all simulator code; MLNT012 the
-  // layers that hold per-node state plus the composition root (scenario owns
-  // nodes_, so its accesses are exactly the ones that need an audit trail);
-  // MLNT013's member-call form everywhere except the kernel and the PHY
-  // delivery path, which ARE the sanctioned cross-shard machinery.
+  // MLNT011 covers all simulator code: SweepRunner runs scenarios on
+  // concurrent workers, so any mutable global in src/ is shared by them.
   const bool in_src = in_path(path, "src/");
-  const bool node_layer = in_path(path, "src/routing/") || in_path(path, "src/mac/") ||
-                          in_path(path, "src/net/") || in_path(path, "src/transport/");
-  const bool mlnt012_applies = node_layer || in_path(path, "src/scenario/");
-  const bool mlnt013_member = !in_path(path, "src/core/") && !in_path(path, "src/phy/");
   // MLNT015 polices the per-event layers: PHY (channel candidate selection),
   // MAC and net. Scenario/tools may still walk every node — setup and
   // reporting are not hot paths.
@@ -907,33 +811,12 @@ void check(const std::string& path, const std::vector<LineView>& lines,
           "field reorder; chain ScenarioBuilder setters and build() instead (or annotate "
           "`// manet-lint: allow-scenario-config - <why>`)");
     }
-    if (mlnt012_applies && has_cross_node_access(code)) {
-      add("MLNT012", n,
-          "direct access to another node's state (`nodes_[...]`/`.node(...)`) bypasses the "
-          "shard-safe delivery path; route through Channel/CrossShardQueue, or annotate "
-          "`// manet-lint: cross-shard-audited - <why it is shard-safe>`");
-    }
     if (mlnt015_applies && has_full_node_scan(code)) {
       add("MLNT015", n,
           "loop over every node in per-event code: O(N) per transmission/tick is what caps "
           "city-scale runs. Use GridIndex::query / Channel::neighbors_of for grid-local "
           "candidates; genuinely periodic whole-population work (position refresh) carries "
           "`// manet-lint: allow-node-scan - <why this is not per-event>`");
-    }
-    if (mlnt013_member && has_member_call(code, "schedule_on")) {
-      add("MLNT013", n,
-          "schedule_on() injects into a foreign shard's queue; outside the kernel/PHY delivery "
-          "path that must go through Channel (or carry `// manet-lint: allow-foreign-schedule "
-          "- <why>`)");
-    } else if (node_layer) {
-      const std::string owner = foreign_sim_schedule(code);
-      if (!owner.empty()) {
-        add("MLNT013", n,
-            "scheduling through `" + owner +
-                "`'s simulator handle runs the callback in a foreign node/shard context; "
-                "schedule via the owning component's own sim() (or annotate "
-                "`// manet-lint: allow-foreign-schedule - <why>`)");
-      }
     }
   }
 
@@ -943,9 +826,9 @@ void check(const std::string& path, const std::vector<LineView>& lines,
     for (const MutableStatic& g : sc.mutable_statics) {
       add("MLNT011", g.line,
           std::string("mutable ") + g.kind + " state `" + g.name +
-              "` is shared across shards and defeats parallel dispatch; make it const, move "
-              "it into per-node/per-scenario state, or annotate `// manet-lint: "
-              "allow-global-state - <why it is shard-safe>`");
+              "` is shared by every SweepRunner worker thread; make it const, move it into "
+              "per-node/per-scenario state, or annotate `// manet-lint: "
+              "allow-global-state - <why it is thread-safe>`");
     }
   }
   for (const ProtocolClass& c : sc.protocol_classes) {
@@ -1108,7 +991,7 @@ int run_cli(int argc, const char* const* argv) {
     }
     if (arg == "--help" || arg == "-h") {
       std::printf("usage: manet_lint [--list-rules] [--format=human|github|json] <file|dir>...\n"
-                  "Scans C++ sources for manetsim determinism/shard-safety violations.\n"
+                  "Scans C++ sources for manetsim determinism/thread-safety violations.\n"
                   "  --format=github   emit ::error workflow-command annotations for CI\n"
                   "  --format=json     emit one JSON array of findings (machine-readable)\n"
                   "Exit code: 0 clean, 1 findings, 2 usage error or nonexistent path.\n");
