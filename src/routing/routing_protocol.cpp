@@ -43,6 +43,15 @@ const ProtocolEntry* Registry::by_name(std::string_view name) const {
   return nullptr;
 }
 
+std::string Registry::names() const {
+  std::string out;
+  for (const ProtocolEntry& e : entries_) {
+    if (!out.empty()) out += ", ";
+    out += e.name;
+  }
+  return out;
+}
+
 const ProtocolEntry* Registry::by_id(std::uint8_t id) const {
   for (const ProtocolEntry& e : entries_) {
     if (e.id == id) return &e;

@@ -4,9 +4,10 @@
 // every mistake (negative speed, a fault window past the end of the run, a
 // traffic start after the run ends) to whatever assertion happens to trip
 // first mid-build — or to silently nonsensical results. ScenarioBuilder is
-// the supported construction path: chain setters, then build() validates the
-// whole config at once and reports the offending values in the contract
-// message, or run() to validate and execute in one step.
+// the supported construction path: chain setters, then build() checks the
+// whole config against the scenario contract (scenario/validate.hpp) and
+// names the offending key and value, or run() to validate and execute in one
+// step.
 //
 //   const ScenarioResult r = ScenarioBuilder()
 //                                .protocol("DSR")
@@ -90,8 +91,9 @@ class ScenarioBuilder {
   /// blocks, mobility-model extras). Runs immediately on the staged config.
   ScenarioBuilder& with(const std::function<void(ScenarioConfig&)>& fn);
 
-  /// Validate the staged config as a whole and return it. Violations fail
-  /// the MANET_CONTRACT with the offending values in the message.
+  /// Resolve the protocol name, check the staged config against validate()
+  /// and return it. The first violation fails the contract as
+  /// "path: message" (e.g. "nodes: must be >= 2, got 1").
   [[nodiscard]] ScenarioConfig build() const;
 
   /// build() and run the scenario once.

@@ -8,6 +8,7 @@
 #include "mobility/random_walk.hpp"
 #include "mobility/random_waypoint.hpp"
 #include "mobility/static_mobility.hpp"
+#include "scenario/validate.hpp"
 
 namespace manet {
 
@@ -107,10 +108,7 @@ std::unique_ptr<RoutingProtocol> make_protocol(const ScenarioConfig& cfg, Node& 
   return e->make(node, cfg, RngStream(cfg.seed, "routing", node.id()));
 }
 
-Scenario::Scenario(const ScenarioConfig& cfg) : cfg_(cfg) {
-  MANET_EXPECTS(cfg.num_nodes >= 2);
-  MANET_EXPECTS(cfg.area.width > 0 && cfg.area.height > 0);
-}
+Scenario::Scenario(const ScenarioConfig& cfg) : cfg_(cfg) { expect_valid(cfg); }
 
 void Scenario::build() {
   if (built_) return;

@@ -164,6 +164,8 @@ struct ScenarioResult {
 
 class Scenario {
  public:
+  /// Fails the contract on the first validate() violation of `cfg`, so a
+  /// config that bypassed ScenarioBuilder::build() is checked too.
   explicit Scenario(const ScenarioConfig& cfg);
 
   /// Build the network (idempotent; run() calls it if needed).

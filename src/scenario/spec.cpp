@@ -1,12 +1,16 @@
 #include "scenario/spec.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <span>
 #include <sstream>
 #include <utility>
 
 #include "common/json.hpp"
 #include "scenario/builder.hpp"
+#include "scenario/validate.hpp"
 
 namespace manet::spec {
 
@@ -14,33 +18,18 @@ namespace {
 
 using json::Value;
 
-/// %g rendering, matching the bench label convention and the builder's
-/// contract messages.
+/// %g rendering, matching the bench label convention and validate()'s
+/// messages.
 std::string fmt_g(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%g", v);
   return buf;
 }
 
-std::string fmt_s(double seconds) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.3f", seconds);
-  return buf;
-}
+/// Largest |seconds| a SimTime (int64 nanoseconds) holds, with margin.
+constexpr double kMaxSeconds = 9e9;
 
-/// "AODV, DSR, ..." for the unknown-protocol message (same wording as
-/// ScenarioBuilder::build()).
-std::string registered_names() {
-  std::ostringstream os;
-  bool first = true;
-  for (const routing::ProtocolEntry& e : protocol_registry()) {
-    os << (first ? "" : ", ") << e.name;
-    first = false;
-  }
-  return os.str();
-}
-
-/// Error sink + the typed-accessor helpers every section walker shares.
+/// Error sink + the typed-accessor helpers every key shares.
 /// Every accessor that fails records a diagnostic naming the key, the
 /// expectation, and the offending value, anchored at the value's source line.
 class Checker {
@@ -90,352 +79,248 @@ class Checker {
     return true;
   }
 
-  /// Range gate: on failure emits "must be <constraint>, got <value>".
-  bool require(bool cond, const Value& v, const std::string& key, const std::string& constraint,
-               double got) {
-    if (cond) return true;
-    fail(v, key, "must be " + constraint + ", got " + fmt_g(got));
-    return false;
+  /// An integer key stored as T. The cast would wrap a value T cannot
+  /// hold (a negative count, say), so that is rejected here.
+  template <typename T>
+  bool count(const Value& v, const std::string& key, T& out) {
+    long long n = 0;
+    if (!integer(v, key, n)) return false;
+    using Limits = std::numeric_limits<T>;
+    const std::string got = ", got " + fmt_g(static_cast<double>(n));
+    if (n < static_cast<long long>(Limits::min())) {
+      fail(v, key, "must be >= " + std::to_string(Limits::min()) + got);
+      return false;
+    }
+    if (n > 0 && static_cast<unsigned long long>(n) >
+                     static_cast<unsigned long long>(Limits::max())) {
+      fail(v, key, "must be <= " + std::to_string(Limits::max()) + got);
+      return false;
+    }
+    out = static_cast<T>(n);
+    return true;
+  }
+
+  /// A time key given in units of `unit_s` seconds.
+  bool time_value(const Value& v, const std::string& key, double unit_s, SimTime& out) {
+    double x = 0.0;
+    return num(v, key, x) && to_time(v, key, x, x * unit_s, out);
+  }
+
+  /// Store `seconds`, computed from the key's value `got`, as a SimTime;
+  /// past the int64-nanosecond range the conversion would overflow.
+  bool to_time(const Value& v, const std::string& key, double got, double seconds,
+               SimTime& out) {
+    if (!(std::abs(seconds) <= kMaxSeconds)) {
+      fail(v, key, "is outside the simulator's time range, got " + fmt_g(got));
+      return false;
+    }
+    out = seconds_f(seconds);
+    return true;
   }
 
  private:
   std::vector<Error>& errs_;
 };
 
-// -- section walkers ---------------------------------------------------------
-// One function per schema object; each dispatches over its known keys and
-// reports anything else as an unknown key naming the accepted set, so typos
-// fail loudly instead of silently running the default.
+// -- settings keys -----------------------------------------------------------
+// One table per schema object lists its keys, in the order the unknown-key
+// message names them, with how each value lands in the config. Typos fail
+// loudly instead of silently running the default. Keys check only type, enum
+// name and conversion; every range and cross-field rule is validate()'s,
+// applied to the finished config (see load_string()).
 
-void apply_mobility(Checker& c, const Value& o, const std::string& path, ScenarioConfig& cfg) {
-  if (!c.expect_kind(o, Value::Kind::kObject, path)) return;
-  for (const auto& [k, v] : o.object) {
-    const std::string p = path + "." + k;
-    double x = 0.0;
-    if (k == "model") {
-      std::string s;
-      if (!c.str(v, p, s)) continue;
-      if (s == "waypoint") {
-        cfg.mobility = MobilityKind::kRandomWaypoint;
-      } else if (s == "walk") {
-        cfg.mobility = MobilityKind::kRandomWalk;
-      } else if (s == "gauss-markov") {
-        cfg.mobility = MobilityKind::kGaussMarkov;
-      } else if (s == "manhattan") {
-        cfg.mobility = MobilityKind::kManhattan;
-      } else {
-        c.fail(v, p,
-               "unknown mobility model \"" + s +
-                   "\" (expected: waypoint, walk, gauss-markov, manhattan)");
-      }
-    } else if (k == "v_min_mps") {
-      if (c.num(v, p, x) && c.require(x >= 0.0, v, p, ">= 0", x)) cfg.v_min = x;
-    } else if (k == "v_max_mps") {
-      if (c.num(v, p, x) && c.require(x >= 0.0, v, p, ">= 0", x)) cfg.v_max = x;
-    } else if (k == "pause_s") {
-      if (c.num(v, p, x) && c.require(x >= 0.0, v, p, ">= 0", x)) cfg.pause = seconds_f(x);
-    } else if (k == "warmup_s") {
-      if (c.num(v, p, x) && c.require(x >= 0.0, v, p, ">= 0", x)) {
-        cfg.mobility_warmup = seconds_f(x);
-      }
-    } else if (k == "block_m") {
-      if (c.num(v, p, x) && c.require(x > 0.0, v, p, "> 0", x)) cfg.manhattan.block = x;
-    } else if (k == "p_turn") {
-      if (c.num(v, p, x) && c.require(x >= 0.0 && x <= 1.0, v, p, "in [0, 1]", x)) {
-        cfg.manhattan.p_turn = x;
-      }
-    } else {
-      c.fail(v, p,
-             "unknown key (expected: model, v_min_mps, v_max_mps, pause_s, warmup_s, "
-             "block_m, p_turn)");
+/// One value being applied: where it sits in the file and where it lands.
+struct Field {
+  Checker& c;
+  const Value& v;
+  const std::string& key;  ///< dotted path, for diagnostics
+  ScenarioConfig& cfg;
+
+  bool num(double& out) const { return c.num(v, key, out); }
+  bool str(std::string& out) const { return c.str(v, key, out); }
+  bool boolean(bool& out) const { return c.boolean(v, key, out); }
+  template <typename T>
+  bool count(T& out) const {
+    return c.count(v, key, out);
+  }
+  bool time_value(double unit_s, SimTime& out) const { return c.time_value(v, key, unit_s, out); }
+  void fail(std::string msg) const { c.fail(v, key, std::move(msg)); }
+};
+
+struct Key {
+  const char* name;
+  void (*apply)(const Field& f);
+};
+
+/// Apply every key of the object `f.v` through `keys`.
+void walk(const Field& f, std::span<const Key> keys) {
+  if (!f.c.expect_kind(f.v, Value::Kind::kObject, f.key)) return;
+  for (const auto& [k, v] : f.v.object) {
+    const std::string p = f.key + "." + k;
+    const auto key =
+        std::find_if(keys.begin(), keys.end(), [&k](const Key& e) { return k == e.name; });
+    if (key != keys.end()) {
+      key->apply(Field{f.c, v, p, f.cfg});
+      continue;
     }
+    std::string names;
+    for (const Key& e : keys) names += (names.empty() ? "" : ", ") + std::string(e.name);
+    f.c.fail(v, p, "unknown key (expected: " + names + ")");
   }
 }
 
-void apply_traffic(Checker& c, const Value& o, const std::string& path, ScenarioConfig& cfg) {
-  if (!c.expect_kind(o, Value::Kind::kObject, path)) return;
-  const Value* rate = o.find("rate_pps");
-  const Value* interval = o.find("interval_ms");
-  if (rate != nullptr && interval != nullptr) {
-    c.fail(*interval, path + ".interval_ms", "mutually exclusive with rate_pps");
-  }
-  for (const auto& [k, v] : o.object) {
-    const std::string p = path + "." + k;
-    double x = 0.0;
-    long long n = 0;
-    if (k == "kind") {
-      std::string s;
-      if (!c.str(v, p, s)) continue;
-      if (s == "cbr") {
-        cfg.traffic = TrafficKind::kCbr;
-      } else if (s == "onoff") {
-        cfg.traffic = TrafficKind::kOnOff;
-      } else {
-        c.fail(v, p, "unknown traffic kind \"" + s + "\" (expected: cbr, onoff)");
-      }
-    } else if (k == "connections") {
-      if (c.integer(v, p, n) && c.require(n >= 0, v, p, ">= 0", static_cast<double>(n))) {
-        cfg.num_connections = static_cast<std::uint32_t>(n);
-      }
-    } else if (k == "payload_bytes") {
-      if (c.integer(v, p, n) && c.require(n >= 1, v, p, ">= 1", static_cast<double>(n))) {
-        cfg.payload_bytes = static_cast<std::size_t>(n);
-      }
-    } else if (k == "rate_pps") {
-      if (c.num(v, p, x) && c.require(x > 0.0, v, p, "> 0", x)) {
-        cfg.cbr_interval = seconds_f(1.0 / x);
-      }
-    } else if (k == "interval_ms") {
-      if (c.num(v, p, x) && c.require(x > 0.0, v, p, "> 0", x)) {
-        cfg.cbr_interval = seconds_f(x / 1000.0);
-      }
-    } else if (k == "start_s") {
-      if (c.num(v, p, x) && c.require(x >= 0.0, v, p, ">= 0", x)) cfg.cbr_start = seconds_f(x);
-    } else if (k == "start_window_s") {
-      if (c.num(v, p, x) && c.require(x >= 0.0, v, p, ">= 0", x)) {
-        cfg.cbr_start_window = seconds_f(x);
-      }
-    } else if (k == "burst_mean_s") {
-      if (c.num(v, p, x) && c.require(x > 0.0, v, p, "> 0", x)) {
-        cfg.onoff_burst_mean = seconds_f(x);
-      }
-    } else if (k == "idle_mean_s") {
-      if (c.num(v, p, x) && c.require(x > 0.0, v, p, "> 0", x)) {
-        cfg.onoff_idle_mean = seconds_f(x);
-      }
-    } else {
-      c.fail(v, p,
-             "unknown key (expected: kind, connections, payload_bytes, rate_pps, "
-             "interval_ms, start_s, start_window_s, burst_mean_s, idle_mean_s)");
+/// A string naming one of `names`, listed in the enum's order.
+template <typename E, std::size_t N>
+void choose(const Field& f, const char* what, const char* const (&names)[N], E& out) {
+  std::string s;
+  if (!f.str(s)) return;
+  std::string list;
+  for (std::size_t i = 0; i < N; ++i) {
+    if (s == names[i]) {
+      out = static_cast<E>(i);
+      return;
     }
+    list += (i == 0 ? "" : ", ") + std::string(names[i]);
+  }
+  f.fail("unknown " + std::string(what) + " \"" + s + "\" (expected: " + list + ")");
+}
+
+constexpr const char* kMobilityModels[] = {"waypoint", "walk", "gauss-markov", "manhattan"};
+constexpr const char* kTrafficKinds[] = {"cbr", "onoff"};
+
+constexpr Key kMobilityKeys[] = {
+    {"model", [](const Field& f) { choose(f, "mobility model", kMobilityModels, f.cfg.mobility); }},
+    {"v_min_mps", [](const Field& f) { f.num(f.cfg.v_min); }},
+    {"v_max_mps", [](const Field& f) { f.num(f.cfg.v_max); }},
+    {"pause_s", [](const Field& f) { f.time_value(1.0, f.cfg.pause); }},
+    {"warmup_s", [](const Field& f) { f.time_value(1.0, f.cfg.mobility_warmup); }},
+    {"block_m", [](const Field& f) { f.num(f.cfg.manhattan.block); }},
+    {"p_turn", [](const Field& f) { f.num(f.cfg.manhattan.p_turn); }},
+};
+
+/// traffic.rate_pps is a divisor: the interval is its reciprocal.
+void apply_rate(const Field& f) {
+  double x = 0.0;
+  if (!f.num(x)) return;
+  if (x <= 0.0) {
+    f.fail("must be > 0, got " + fmt_g(x));
+  } else {
+    f.c.to_time(f.v, f.key, x, 1.0 / x, f.cfg.cbr_interval);
   }
 }
 
-void apply_radio(Checker& c, const Value& o, const std::string& path, ScenarioConfig& cfg) {
-  if (!c.expect_kind(o, Value::Kind::kObject, path)) return;
-  for (const auto& [k, v] : o.object) {
-    const std::string p = path + "." + k;
-    double x = 0.0;
-    if (k == "data_rate_bps") {
-      if (c.num(v, p, x) && c.require(x > 0.0, v, p, "> 0", x)) cfg.phy.data_rate_bps = x;
-    } else if (k == "rx_range_m") {
-      if (c.num(v, p, x) && c.require(x > 0.0, v, p, "> 0", x)) cfg.phy.rx_range_m = x;
-    } else if (k == "cs_range_m") {
-      if (c.num(v, p, x) && c.require(x > 0.0, v, p, "> 0", x)) cfg.phy.cs_range_m = x;
-    } else if (k == "frame_loss_rate") {
-      if (c.num(v, p, x) && c.require(x >= 0.0 && x < 1.0, v, p, "in [0, 1)", x)) {
-        cfg.phy.frame_loss_rate = x;
-      }
-    } else {
-      c.fail(v, p,
-             "unknown key (expected: data_rate_bps, rx_range_m, cs_range_m, frame_loss_rate)");
-    }
+constexpr Key kTrafficKeys[] = {
+    {"kind", [](const Field& f) { choose(f, "traffic kind", kTrafficKinds, f.cfg.traffic); }},
+    {"connections", [](const Field& f) { f.count(f.cfg.num_connections); }},
+    {"payload_bytes", [](const Field& f) { f.count(f.cfg.payload_bytes); }},
+    {"rate_pps", apply_rate},
+    {"interval_ms", [](const Field& f) { f.time_value(1e-3, f.cfg.cbr_interval); }},
+    {"start_s", [](const Field& f) { f.time_value(1.0, f.cfg.cbr_start); }},
+    {"start_window_s", [](const Field& f) { f.time_value(1.0, f.cfg.cbr_start_window); }},
+    {"burst_mean_s", [](const Field& f) { f.time_value(1.0, f.cfg.onoff_burst_mean); }},
+    {"idle_mean_s", [](const Field& f) { f.time_value(1.0, f.cfg.onoff_idle_mean); }},
+};
+
+void apply_traffic(const Field& f) {
+  const Value* interval = f.v.find("interval_ms");
+  if (interval != nullptr && f.v.find("rate_pps") != nullptr) {
+    f.c.fail(*interval, f.key + ".interval_ms", "mutually exclusive with rate_pps");
+  }
+  walk(f, kTrafficKeys);
+}
+
+constexpr Key kRadioKeys[] = {
+    {"data_rate_bps", [](const Field& f) { f.num(f.cfg.phy.data_rate_bps); }},
+    {"rx_range_m", [](const Field& f) { f.num(f.cfg.phy.rx_range_m); }},
+    {"cs_range_m", [](const Field& f) { f.num(f.cfg.phy.cs_range_m); }},
+    {"frame_loss_rate", [](const Field& f) { f.num(f.cfg.phy.frame_loss_rate); }},
+};
+
+constexpr Key kMacKeys[] = {
+    {"use_rts", [](const Field& f) { f.boolean(f.cfg.mac.use_rts); }},
+    {"rts_threshold_bytes", [](const Field& f) { f.count(f.cfg.mac.rts_threshold); }},
+    {"ifq_capacity", [](const Field& f) { f.count(f.cfg.mac.ifq_capacity); }},
+};
+
+constexpr Key kUrbanKeys[] = {
+    {"street_width_m", [](const Field& f) { f.num(f.cfg.phy.street_width_m); }},
+    {"nlos_range_m", [](const Field& f) { f.num(f.cfg.phy.nlos_rx_range_m); }},
+    {"nlos_loss", [](const Field& f) { f.num(f.cfg.phy.nlos_loss_rate); }},
+};
+
+constexpr Key kFaultKeys[] = {
+    {"crash_rate", [](const Field& f) { f.num(f.cfg.fault.crash_rate); }},
+    {"downtime_mean_s", [](const Field& f) { f.time_value(1.0, f.cfg.fault.downtime_mean); }},
+    {"link_blackouts", [](const Field& f) { f.count(f.cfg.fault.link_blackouts); }},
+    {"blackout_mean_s", [](const Field& f) { f.time_value(1.0, f.cfg.fault.blackout_mean); }},
+    {"corrupt_rate", [](const Field& f) { f.num(f.cfg.fault.corrupt_rate); }},
+    {"corrupt_from_s", [](const Field& f) { f.time_value(1.0, f.cfg.fault.corrupt_from); }},
+    {"corrupt_until_s", [](const Field& f) { f.time_value(1.0, f.cfg.fault.corrupt_until); }},
+    {"partition", [](const Field& f) { f.boolean(f.cfg.fault.partition); }},
+    {"partition_frac", [](const Field& f) { f.num(f.cfg.fault.partition_frac); }},
+    {"partition_from_s", [](const Field& f) { f.time_value(1.0, f.cfg.fault.partition_from); }},
+    {"partition_until_s",
+     [](const Field& f) { f.time_value(1.0, f.cfg.fault.partition_until); }},
+    {"window_from_s", [](const Field& f) { f.time_value(1.0, f.cfg.fault.window_from); }},
+};
+
+constexpr Key kTransportKeys[] = {
+    {"enabled", [](const Field& f) { f.boolean(f.cfg.transport.enabled); }},
+    {"rto_initial_ms", [](const Field& f) { f.time_value(1e-3, f.cfg.transport.rto_initial); }},
+    {"rto_min_ms", [](const Field& f) { f.time_value(1e-3, f.cfg.transport.rto_min); }},
+    {"rto_max_ms", [](const Field& f) { f.time_value(1e-3, f.cfg.transport.rto_max); }},
+    {"cwnd_init", [](const Field& f) { f.count(f.cfg.transport.cwnd_init); }},
+    {"cwnd_max", [](const Field& f) { f.count(f.cfg.transport.cwnd_max); }},
+    {"max_retx", [](const Field& f) { f.count(f.cfg.transport.max_retx); }},
+    {"buffer_packets", [](const Field& f) { f.count(f.cfg.transport.buffer_packets); }},
+};
+
+void apply_protocol(const Field& f) {
+  std::string s;
+  if (!f.str(s)) return;
+  const routing::ProtocolEntry* e = protocol_registry().by_name(s);
+  if (e == nullptr) {
+    f.fail("unknown protocol \"" + s + "\" (registered: " + protocol_registry().names() + ")");
+  } else {
+    f.cfg.protocol = static_cast<Protocol>(e->id);
   }
 }
 
-void apply_mac(Checker& c, const Value& o, const std::string& path, ScenarioConfig& cfg) {
-  if (!c.expect_kind(o, Value::Kind::kObject, path)) return;
-  for (const auto& [k, v] : o.object) {
-    const std::string p = path + "." + k;
-    long long n = 0;
-    bool b = false;
-    if (k == "use_rts") {
-      if (c.boolean(v, p, b)) cfg.mac.use_rts = b;
-    } else if (k == "rts_threshold_bytes") {
-      if (c.integer(v, p, n) && c.require(n >= 0, v, p, ">= 0", static_cast<double>(n))) {
-        cfg.mac.rts_threshold = static_cast<std::size_t>(n);
-      }
-    } else if (k == "ifq_capacity") {
-      if (c.integer(v, p, n) && c.require(n >= 1, v, p, ">= 1", static_cast<double>(n))) {
-        cfg.mac.ifq_capacity = static_cast<std::size_t>(n);
-      }
-    } else {
-      c.fail(v, p, "unknown key (expected: use_rts, rts_threshold_bytes, ifq_capacity)");
-    }
+void apply_area(const Field& f) {
+  if (!f.c.expect_kind(f.v, Value::Kind::kArray, f.key)) return;
+  if (f.v.array.size() != 2) {
+    f.fail("expected [width_m, height_m], got " + std::to_string(f.v.array.size()) +
+           " element(s)");
+    return;
   }
-}
-
-void apply_urban(Checker& c, const Value& o, const std::string& path, ScenarioConfig& cfg) {
-  if (!c.expect_kind(o, Value::Kind::kObject, path)) return;
-  for (const auto& [k, v] : o.object) {
-    const std::string p = path + "." + k;
-    double x = 0.0;
-    if (k == "street_width_m") {
-      if (c.num(v, p, x) && c.require(x >= 0.0, v, p, ">= 0", x)) cfg.phy.street_width_m = x;
-    } else if (k == "nlos_range_m") {
-      if (c.num(v, p, x) && c.require(x > 0.0, v, p, "> 0", x)) cfg.phy.nlos_rx_range_m = x;
-    } else if (k == "nlos_loss") {
-      if (c.num(v, p, x) && c.require(x >= 0.0 && x < 1.0, v, p, "in [0, 1)", x)) {
-        cfg.phy.nlos_loss_rate = x;
-      }
-    } else {
-      c.fail(v, p, "unknown key (expected: street_width_m, nlos_range_m, nlos_loss)");
-    }
-  }
-}
-
-void apply_fault(Checker& c, const Value& o, const std::string& path, ScenarioConfig& cfg) {
-  if (!c.expect_kind(o, Value::Kind::kObject, path)) return;
-  FaultConfig& f = cfg.fault;
-  for (const auto& [k, v] : o.object) {
-    const std::string p = path + "." + k;
-    double x = 0.0;
-    long long n = 0;
-    bool b = false;
-    if (k == "crash_rate") {
-      if (c.num(v, p, x) && c.require(x >= 0.0, v, p, ">= 0", x)) f.crash_rate = x;
-    } else if (k == "downtime_mean_s") {
-      if (c.num(v, p, x) && c.require(x > 0.0, v, p, "> 0", x)) f.downtime_mean = seconds_f(x);
-    } else if (k == "link_blackouts") {
-      if (c.integer(v, p, n) && c.require(n >= 0, v, p, ">= 0", static_cast<double>(n))) {
-        f.link_blackouts = static_cast<int>(n);
-      }
-    } else if (k == "blackout_mean_s") {
-      if (c.num(v, p, x) && c.require(x > 0.0, v, p, "> 0", x)) f.blackout_mean = seconds_f(x);
-    } else if (k == "corrupt_rate") {
-      if (c.num(v, p, x) && c.require(x >= 0.0 && x <= 1.0, v, p, "in [0, 1]", x)) {
-        f.corrupt_rate = x;
-      }
-    } else if (k == "corrupt_from_s") {
-      if (c.num(v, p, x) && c.require(x >= 0.0, v, p, ">= 0", x)) f.corrupt_from = seconds_f(x);
-    } else if (k == "corrupt_until_s") {
-      if (c.num(v, p, x) && c.require(x >= 0.0, v, p, ">= 0", x)) f.corrupt_until = seconds_f(x);
-    } else if (k == "partition") {
-      if (c.boolean(v, p, b)) f.partition = b;
-    } else if (k == "partition_frac") {
-      if (c.num(v, p, x) && c.require(x >= 0.0 && x <= 1.0, v, p, "in [0, 1]", x)) {
-        f.partition_frac = x;
-      }
-    } else if (k == "partition_from_s") {
-      if (c.num(v, p, x) && c.require(x >= 0.0, v, p, ">= 0", x)) {
-        f.partition_from = seconds_f(x);
-      }
-    } else if (k == "partition_until_s") {
-      if (c.num(v, p, x) && c.require(x >= 0.0, v, p, ">= 0", x)) {
-        f.partition_until = seconds_f(x);
-      }
-    } else if (k == "window_from_s") {
-      if (c.num(v, p, x) && c.require(x >= 0.0, v, p, ">= 0", x)) f.window_from = seconds_f(x);
-    } else {
-      c.fail(v, p,
-             "unknown key (expected: crash_rate, downtime_mean_s, link_blackouts, "
-             "blackout_mean_s, corrupt_rate, corrupt_from_s, corrupt_until_s, partition, "
-             "partition_frac, partition_from_s, partition_until_s, window_from_s)");
-    }
-  }
-}
-
-void apply_transport(Checker& c, const Value& o, const std::string& path, ScenarioConfig& cfg) {
-  if (!c.expect_kind(o, Value::Kind::kObject, path)) return;
-  TransportConfig& t = cfg.transport;
-  for (const auto& [k, v] : o.object) {
-    const std::string p = path + "." + k;
-    double x = 0.0;
-    long long n = 0;
-    bool b = false;
-    if (k == "enabled") {
-      if (c.boolean(v, p, b)) t.enabled = b;
-    } else if (k == "rto_initial_ms") {
-      if (c.num(v, p, x) && c.require(x > 0.0, v, p, "> 0", x)) {
-        t.rto_initial = seconds_f(x / 1000.0);
-      }
-    } else if (k == "rto_min_ms") {
-      if (c.num(v, p, x) && c.require(x > 0.0, v, p, "> 0", x)) t.rto_min = seconds_f(x / 1000.0);
-    } else if (k == "rto_max_ms") {
-      if (c.num(v, p, x) && c.require(x > 0.0, v, p, "> 0", x)) t.rto_max = seconds_f(x / 1000.0);
-    } else if (k == "cwnd_init") {
-      if (c.integer(v, p, n) && c.require(n >= 1, v, p, ">= 1", static_cast<double>(n))) {
-        t.cwnd_init = static_cast<std::uint32_t>(n);
-      }
-    } else if (k == "cwnd_max") {
-      if (c.integer(v, p, n) && c.require(n >= 1, v, p, ">= 1", static_cast<double>(n))) {
-        t.cwnd_max = static_cast<std::uint32_t>(n);
-      }
-    } else if (k == "max_retx") {
-      if (c.integer(v, p, n) && c.require(n >= 1, v, p, ">= 1", static_cast<double>(n))) {
-        t.max_retx = static_cast<std::uint32_t>(n);
-      }
-    } else if (k == "buffer_packets") {
-      if (c.integer(v, p, n) && c.require(n >= 1, v, p, ">= 1", static_cast<double>(n))) {
-        t.buffer_packets = static_cast<std::uint32_t>(n);
-      }
-    } else {
-      c.fail(v, p,
-             "unknown key (expected: enabled, rto_initial_ms, rto_min_ms, rto_max_ms, "
-             "cwnd_init, cwnd_max, max_retx, buffer_packets)");
-    }
+  double w = 0.0;
+  double h = 0.0;
+  if (f.c.num(f.v.array[0], f.key + "[0]", w) && f.c.num(f.v.array[1], f.key + "[1]", h)) {
+    f.cfg.area = Area{w, h};
   }
 }
 
 /// The shared settings object: `base` and each explicit cell's `set`.
+constexpr Key kSettingsKeys[] = {
+    {"protocol", apply_protocol},
+    {"seed", [](const Field& f) { f.count(f.cfg.seed); }},
+    {"nodes", [](const Field& f) { f.count(f.cfg.num_nodes); }},
+    {"area_m", apply_area},
+    {"static", [](const Field& f) { f.boolean(f.cfg.static_nodes); }},
+    {"duration_s", [](const Field& f) { f.time_value(1.0, f.cfg.duration); }},
+    {"measure_connectivity", [](const Field& f) { f.boolean(f.cfg.measure_connectivity); }},
+    {"trace", [](const Field& f) { f.str(f.cfg.trace_path); }},
+    {"mobility", [](const Field& f) { walk(f, kMobilityKeys); }},
+    {"traffic", apply_traffic},
+    {"radio", [](const Field& f) { walk(f, kRadioKeys); }},
+    {"mac", [](const Field& f) { walk(f, kMacKeys); }},
+    {"urban", [](const Field& f) { walk(f, kUrbanKeys); }},
+    {"fault", [](const Field& f) { walk(f, kFaultKeys); }},
+    {"transport", [](const Field& f) { walk(f, kTransportKeys); }},
+};
+
 void apply_settings(Checker& c, const Value& o, const std::string& path, ScenarioConfig& cfg) {
-  if (!c.expect_kind(o, Value::Kind::kObject, path)) return;
-  for (const auto& [k, v] : o.object) {
-    const std::string p = path + "." + k;
-    double x = 0.0;
-    long long n = 0;
-    bool b = false;
-    if (k == "protocol") {
-      std::string s;
-      if (!c.str(v, p, s)) continue;
-      const routing::ProtocolEntry* e = protocol_registry().by_name(s);
-      if (e == nullptr) {
-        c.fail(v, p, "unknown protocol \"" + s + "\" (registered: " + registered_names() + ")");
-      } else {
-        cfg.protocol = static_cast<Protocol>(e->id);
-      }
-    } else if (k == "seed") {
-      if (c.integer(v, p, n) && c.require(n >= 0, v, p, ">= 0", static_cast<double>(n))) {
-        cfg.seed = static_cast<std::uint64_t>(n);
-      }
-    } else if (k == "nodes") {
-      if (c.integer(v, p, n) && c.require(n >= 2, v, p, ">= 2", static_cast<double>(n))) {
-        cfg.num_nodes = static_cast<std::uint32_t>(n);
-      }
-    } else if (k == "area_m") {
-      if (!c.expect_kind(v, Value::Kind::kArray, p)) continue;
-      if (v.array.size() != 2) {
-        c.fail(v, p, "expected [width_m, height_m], got " + std::to_string(v.array.size()) +
-                         " element(s)");
-        continue;
-      }
-      double w = 0.0;
-      double h = 0.0;
-      if (c.num(v.array[0], p + "[0]", w) && c.num(v.array[1], p + "[1]", h) &&
-          c.require(w > 0.0, v.array[0], p + "[0]", "> 0", w) &&
-          c.require(h > 0.0, v.array[1], p + "[1]", "> 0", h)) {
-        cfg.area = Area{w, h};
-      }
-    } else if (k == "static") {
-      if (c.boolean(v, p, b)) cfg.static_nodes = b;
-    } else if (k == "duration_s") {
-      if (c.num(v, p, x) && c.require(x > 0.0, v, p, "> 0", x)) cfg.duration = seconds_f(x);
-    } else if (k == "measure_connectivity") {
-      if (c.boolean(v, p, b)) cfg.measure_connectivity = b;
-    } else if (k == "trace") {
-      std::string s;
-      if (c.str(v, p, s)) cfg.trace_path = std::move(s);
-    } else if (k == "mobility") {
-      apply_mobility(c, v, p, cfg);
-    } else if (k == "traffic") {
-      apply_traffic(c, v, p, cfg);
-    } else if (k == "radio") {
-      apply_radio(c, v, p, cfg);
-    } else if (k == "mac") {
-      apply_mac(c, v, p, cfg);
-    } else if (k == "urban") {
-      apply_urban(c, v, p, cfg);
-    } else if (k == "fault") {
-      apply_fault(c, v, p, cfg);
-    } else if (k == "transport") {
-      apply_transport(c, v, p, cfg);
-    } else {
-      c.fail(v, p,
-             "unknown key (expected: protocol, seed, nodes, area_m, static, duration_s, "
-             "measure_connectivity, trace, mobility, traffic, radio, mac, urban, fault, "
-             "transport)");
-    }
-  }
+  walk(Field{c, o, path, cfg}, kSettingsKeys);
 }
 
 // -- sweep axes --------------------------------------------------------------
@@ -443,36 +328,35 @@ void apply_settings(Checker& c, const Value& o, const std::string& path, Scenari
 struct Axis {
   std::string param;           ///< label segment ("pause" -> "AODV/pause:0")
   bool urban_family = false;   ///< values are urban_scenario() node counts
-  std::vector<double> values;  ///< validated at parse time; apply is unchecked
+  std::vector<double> values;  ///< conversion-checked at parse time
 };
 
 constexpr const char* kAxisParams = "pause, vmax, nodes, sources, crash, loss, rate";
 
-/// Range-check one axis value at parse time (so a bad value is reported once,
-/// not once per protocol).
-void check_axis_value(Checker& c, const Axis& a, const Value& v, const std::string& key) {
+/// Conversion checks for one axis value (its ranges are validate()'s): node
+/// and source counts become uint32, a pause a SimTime, and a rate is the
+/// divisor of one.
+bool convertible(Checker& c, const Axis& a, const Value& v, const std::string& key) {
   const double x = v.number;
-  if (a.urban_family) {
-    if (std::floor(x) != x || x < 2.0) c.fail(v, key, "must be an integer >= 2, got " + fmt_g(x));
-  } else if (a.param == "pause" || a.param == "crash") {
-    c.require(x >= 0.0, v, key, ">= 0", x);
-  } else if (a.param == "vmax") {
-    // <= 0 means "static" (the mobility suite's x = 0 column); any value ok.
-  } else if (a.param == "nodes") {
-    if (std::floor(x) != x || x < 2.0) c.fail(v, key, "must be an integer >= 2, got " + fmt_g(x));
-  } else if (a.param == "sources") {
-    if (std::floor(x) != x || x < 0.0) c.fail(v, key, "must be an integer >= 0, got " + fmt_g(x));
-  } else if (a.param == "loss") {
-    c.require(x >= 0.0 && x < 1.0, v, key, "in [0, 1)", x);
-  } else if (a.param == "rate") {
-    c.require(x > 0.0, v, key, "> 0", x);
+  std::uint32_t n = 0;
+  SimTime t;
+  if (a.urban_family || a.param == "nodes" || a.param == "sources") return c.count(v, key, n);
+  if (a.param == "pause") return c.to_time(v, key, x, x, t);
+  if (a.param != "rate") return true;
+  if (x <= 0.0) {
+    c.fail(v, key, "must be > 0, got " + fmt_g(x));
+    return false;
   }
+  return c.to_time(v, key, x, 1.0 / x, t);
 }
 
 /// Copy the urban Manhattan family's derived fields onto `cfg`, reusing
-/// urban_scenario() so the city-size math has exactly one home.
+/// urban_scenario() so the city-size math has exactly one home. The staged
+/// config is taken through with(), not build(), so a bad node count comes
+/// back from validate() as a located error instead of a contract abort.
 void apply_urban_family(ScenarioConfig& cfg, std::uint32_t n) {
-  const ScenarioConfig u = urban_scenario(n).build();
+  ScenarioConfig u;
+  urban_scenario(n).with([&u](ScenarioConfig& staged) { u = staged; });
   cfg.num_nodes = u.num_nodes;
   cfg.area = u.area;
   cfg.mobility = u.mobility;
@@ -512,82 +396,37 @@ void apply_axis(const Axis& a, double v, ScenarioConfig& cfg) {
   }
 }
 
-// -- cross-field contracts ---------------------------------------------------
-// The mirror of ScenarioBuilder::build()'s multi-field checks (single-field
-// ranges are already enforced at the key sites above), with the builder's
-// wording so the two paths diagnose identically. Keeping the mirror complete
-// is what lets `manetsim validate` promise a clean exit-2 diagnosis instead
-// of the builder's contract abort.
-void check_contracts(Checker& c, const ScenarioConfig& cfg, int line, const std::string& where) {
-  if (!cfg.static_nodes && cfg.v_max < cfg.v_min) {
-    c.fail_at(line, where,
-              "need 0 <= v_min <= v_max, got v_min=" + fmt_g(cfg.v_min) +
-                  " v_max=" + fmt_g(cfg.v_max) + " m/s");
+// -- the contract ------------------------------------------------------------
+// validate() states every rule once; the loader only decides where each
+// violation is reported, and reports each distinct one once.
+
+/// Source line of validate() path `path` ("traffic.start_s", "area_m[0]")
+/// inside settings object `o`: the deepest key present, else `o`'s own line,
+/// else (no object) `fallback`.
+int line_of(const Value* o, const std::string& path, int fallback) {
+  int line = o != nullptr ? o->line : fallback;
+  std::size_t pos = 0;
+  while (o != nullptr && o->is_object() && pos < path.size()) {
+    const std::size_t end = std::min(path.find('.', pos), path.find('[', pos));
+    o = o->find(std::string_view(path).substr(pos, end - pos));
+    if (o != nullptr) line = o->line;
+    pos = end == std::string::npos ? path.size() : end + 1;
   }
-  if (cfg.num_connections > 0 && cfg.cbr_start > cfg.duration) {
-    c.fail_at(line, where,
-              "traffic starts at " + fmt_s(cfg.cbr_start.sec()) + "s, after the run ends at " +
-                  fmt_s(cfg.duration.sec()) + "s");
+  return line;
+}
+
+/// The violations of `cfg` not in `seen`, which then records them.
+std::vector<Violation> fresh_violations(const ScenarioConfig& cfg, std::vector<Violation>& seen) {
+  std::vector<Violation> fresh;
+  for (Violation& v : validate(cfg)) {
+    const bool dup = std::any_of(seen.begin(), seen.end(), [&](const Violation& s) {
+      return s.path == v.path && s.message == v.message;
+    });
+    if (dup) continue;
+    seen.push_back(v);
+    fresh.push_back(std::move(v));
   }
-  if (cfg.phy.urban() &&
-      !(cfg.phy.nlos_rx_range_m > 0.0 && cfg.phy.nlos_rx_range_m <= cfg.phy.rx_range_m)) {
-    c.fail_at(line, where,
-              "nlos_rx_range_m must be in (0, rx_range], got " + fmt_g(cfg.phy.nlos_rx_range_m) +
-                  " (rx_range " + fmt_g(cfg.phy.rx_range_m) + ")");
-  }
-  if (cfg.transport.enabled) {
-    const TransportConfig& t = cfg.transport;
-    if (!(t.rto_min > SimTime::zero() && t.rto_min <= t.rto_initial &&
-          t.rto_initial <= t.rto_max)) {
-      c.fail_at(line, where,
-                "transport rto bounds need 0 < rto_min <= rto_initial <= rto_max, got min=" +
-                    fmt_s(t.rto_min.sec()) + "s initial=" + fmt_s(t.rto_initial.sec()) +
-                    "s max=" + fmt_s(t.rto_max.sec()) + "s");
-    }
-    if (!(t.cwnd_init >= 1 && t.cwnd_init <= t.cwnd_max)) {
-      c.fail_at(line, where,
-                "transport cwnd needs 1 <= cwnd_init <= cwnd_max, got init=" +
-                    std::to_string(t.cwnd_init) + " max=" + std::to_string(t.cwnd_max));
-    }
-    if (t.buffer_packets < t.cwnd_max) {
-      c.fail_at(line, where,
-                "transport.buffer_packets must be >= cwnd_max, got buffer=" +
-                    std::to_string(t.buffer_packets) +
-                    " cwnd_max=" + std::to_string(t.cwnd_max));
-    }
-  }
-  if (cfg.fault.enabled()) {
-    const FaultConfig& f = cfg.fault;
-    if (f.window_from >= cfg.duration) {
-      c.fail_at(line, where,
-                "fault window opens at " + fmt_s(f.window_from.sec()) +
-                    "s, after the run ends at " + fmt_s(cfg.duration.sec()) + "s");
-    }
-    if (f.corrupt_rate > 0.0) {
-      if (f.corrupt_from >= cfg.duration) {
-        c.fail_at(line, where,
-                  "corruption window opens at " + fmt_s(f.corrupt_from.sec()) +
-                      "s, after the run ends at " + fmt_s(cfg.duration.sec()) + "s");
-      }
-      if (f.corrupt_until != SimTime::zero() && f.corrupt_until <= f.corrupt_from) {
-        c.fail_at(line, where,
-                  "corruption window [" + fmt_s(f.corrupt_from.sec()) + "s, " +
-                      fmt_s(f.corrupt_until.sec()) + "s) is empty");
-      }
-    }
-    if (f.partition) {
-      if (f.partition_from >= cfg.duration) {
-        c.fail_at(line, where,
-                  "partition opens at " + fmt_s(f.partition_from.sec()) +
-                      "s, after the run ends at " + fmt_s(cfg.duration.sec()) + "s");
-      }
-      if (f.partition_until != SimTime::zero() && f.partition_until <= f.partition_from) {
-        c.fail_at(line, where,
-                  "partition window [" + fmt_s(f.partition_from.sec()) + "s, " +
-                      fmt_s(f.partition_until.sec()) + "s) is empty");
-      }
-    }
-  }
+  return fresh;
 }
 
 [[nodiscard]] bool valid_name(const std::string& s) {
@@ -655,10 +494,12 @@ ScenarioSpec load_string(const std::string& text, const std::string& filename) {
       std::string s;
       if (c.str(v, "description", s)) spec.description = std::move(s);
     } else if (k == "seeds") {
+      // A spec-level knob, not part of the scenario contract.
       long long n = 0;
-      if (c.integer(v, "seeds", n) &&
-          c.require(n >= 1 && n <= 100000, v, "seeds", "in [1, 100000]",
-                    static_cast<double>(n))) {
+      if (!c.integer(v, "seeds", n)) continue;
+      if (n < 1 || n > 100000) {
+        c.fail(v, "seeds", "must be in [1, 100000], got " + fmt_g(static_cast<double>(n)));
+      } else {
         spec.seeds = static_cast<int>(n);
       }
     } else if (k == "output") {
@@ -691,6 +532,13 @@ ScenarioSpec load_string(const std::string& text, const std::string& filename) {
     c.fail_at(root.line, "name", "required key is missing");
   }
 
+  // The base is validated first, each violation anchored at its own key.
+  const Value* base_value = root.find("base");
+  std::vector<Violation> seen;
+  for (const Violation& v : fresh_violations(base, seen)) {
+    c.fail_at(line_of(base_value, v.path, root.line), "base." + v.path, v.message);
+  }
+
   // -- sweep expansion -------------------------------------------------------
   // Grid cells: (protocol × axis values) in nested-loop order, protocol
   // outermost — the same order Suite::add_sweep registers them, so a spec's
@@ -719,7 +567,8 @@ ScenarioSpec load_string(const std::string& text, const std::string& filename) {
           const routing::ProtocolEntry* e = protocol_registry().by_name(s);
           if (e == nullptr) {
             c.fail(v.array[i], pi,
-                   "unknown protocol \"" + s + "\" (registered: " + registered_names() + ")");
+                   "unknown protocol \"" + s + "\" (registered: " + protocol_registry().names() +
+                       ")");
           } else {
             protocols.emplace_back(e->name, static_cast<Protocol>(e->id));
           }
@@ -770,8 +619,15 @@ ScenarioSpec load_string(const std::string& text, const std::string& filename) {
           for (std::size_t j = 0; j < values->array.size(); ++j) {
             const Value& vv = values->array[j];
             const std::string pv = pi + ".values[" + std::to_string(j) + "]";
-            if (!c.expect_kind(vv, Value::Kind::kNumber, pv)) continue;
-            check_axis_value(c, axis, vv, pv);
+            if (!c.expect_kind(vv, Value::Kind::kNumber, pv) || !convertible(c, axis, vv, pv)) {
+              continue;
+            }
+            // Each value once, at its own line: what it breaks on the base.
+            ScenarioConfig probe = base;
+            apply_axis(axis, vv.number, probe);
+            for (const Violation& bad : fresh_violations(probe, seen)) {
+              c.fail(vv, pv, bad.path + ": " + bad.message);
+            }
             axis.values.push_back(vv.number);
           }
           axes.push_back(std::move(axis));
@@ -843,6 +699,9 @@ ScenarioSpec load_string(const std::string& text, const std::string& filename) {
         partial = std::move(next);
       }
       for (auto& [label, pcfg] : partial) {
+        for (const Violation& bad : fresh_violations(pcfg, seen)) {
+          c.fail_at(sweep_line, "cell \"" + label + "\"", bad.path + ": " + bad.message);
+        }
         spec.cells.push_back(SweepCell{std::move(label), std::move(pcfg)});
       }
     }
@@ -852,6 +711,10 @@ ScenarioSpec load_string(const std::string& text, const std::string& filename) {
     ScenarioConfig cfg = base;
     if (cell.set != nullptr) {
       apply_settings(c, *cell.set, "sweep.cells \"" + cell.label + "\".set", cfg);
+    }
+    for (const Violation& bad : fresh_violations(cfg, seen)) {
+      c.fail_at(line_of(cell.set, bad.path, cell.line), "cell \"" + cell.label + "\"",
+                bad.path + ": " + bad.message);
     }
     spec.cells.push_back(SweepCell{cell.label, std::move(cfg)});
   }
@@ -868,21 +731,6 @@ ScenarioSpec load_string(const std::string& text, const std::string& filename) {
                   "duplicate cell label \"" + spec.cells[i].label + "\"");
         j = spec.cells.size();  // report each duplicate label once
       }
-    }
-  }
-
-  // Cross-field contracts per expanded cell.
-  for (const SweepCell& cell : spec.cells) {
-    check_contracts(c, cell.config, sweep != nullptr ? sweep->line : root.line,
-                    "cell \"" + cell.label + "\"");
-  }
-
-  // Belt and braces: a clean spec must also satisfy the builder itself. Any
-  // divergence here is a loader bug (a contract the mirror above missed) and
-  // trips the builder's own MANET_CONTRACT abort with a message naming it.
-  if (spec.errors.empty()) {
-    for (const SweepCell& cell : spec.cells) {
-      (void)ScenarioBuilder::from(cell.config).build();
     }
   }
 

@@ -59,12 +59,15 @@
 // constant-density city, street-canyon shadowing), and "param" only names
 // the label segment (fig_scale uses "n").
 //
-// Validation never aborts: the loader mirrors every ScenarioBuilder::build()
-// contract itself and reports violations as Errors carrying the 1-based
-// source line of the offending value, so `manetsim validate` can render
-// compiler-style "file:line: key: message" diagnostics. Only after a spec is
-// clean does the loader run each cell through ScenarioBuilder::from(...)
-// .build() as a belt-and-braces check that the mirror and the builder agree.
+// Validation never aborts. The walkers check only types, enum names, unknown
+// keys and conversions (a negative count, a zero rate_pps divisor); every
+// value range and cross-field rule is the one scenario contract, validate()
+// (scenario/validate.hpp), which the builder and Scenario enforce by
+// aborting. The loader runs it on the base (each violation at its key's
+// line), on each axis value (at the value's line) and on each expanded cell
+// (keyed `cell "<label>"`), reporting each distinct violation once as a
+// compiler-style "file:line: key: message" Error. A spec that loads clean
+// therefore builds.
 
 #include <string>
 #include <vector>

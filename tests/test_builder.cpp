@@ -111,7 +111,8 @@ TEST(ScenarioBuilder, FaultSetterStagesTheFaultPlan) {
 }
 
 // ---------------------------------------------------------------------------
-// Validation: build() must reject nonsense loudly, naming the bad value.
+// Validation: build() must reject nonsense loudly, naming the bad value at
+// its scenario-DSL path (the one contract in scenario/validate.hpp).
 // ---------------------------------------------------------------------------
 
 TEST(ScenarioBuilderDeathTest, UnknownProtocolNameListsRegisteredOnes) {
@@ -119,19 +120,22 @@ TEST(ScenarioBuilderDeathTest, UnknownProtocolNameListsRegisteredOnes) {
 }
 
 TEST(ScenarioBuilderDeathTest, RejectsTooFewNodes) {
-  EXPECT_DEATH((void)ScenarioBuilder().nodes(1).build(), "num_nodes");
+  EXPECT_DEATH((void)ScenarioBuilder().nodes(1).build(), "nodes: must be >= 2, got 1");
 }
 
 TEST(ScenarioBuilderDeathTest, RejectsNonPositiveArea) {
-  EXPECT_DEATH((void)ScenarioBuilder().area(0.0, 300.0).build(), "area");
+  EXPECT_DEATH((void)ScenarioBuilder().area(0.0, 300.0).build(),
+               "area_m\\[0\\]: must be > 0, got 0");
 }
 
 TEST(ScenarioBuilderDeathTest, RejectsNonPositiveDuration) {
-  EXPECT_DEATH((void)ScenarioBuilder().duration(SimTime::zero()).build(), "duration");
+  EXPECT_DEATH((void)ScenarioBuilder().duration(SimTime::zero()).build(),
+               "duration_s: must be > 0, got 0");
 }
 
 TEST(ScenarioBuilderDeathTest, RejectsInvertedSpeedRange) {
-  EXPECT_DEATH((void)ScenarioBuilder().speed(5.0, 1.0).build(), "v_m");
+  EXPECT_DEATH((void)ScenarioBuilder().speed(5.0, 1.0).build(),
+               "mobility.v_max_mps: need 0 <= v_min <= v_max, got v_min=5 v_max=1");
 }
 
 TEST(ScenarioBuilderDeathTest, ShardsShimAcceptsOnlyOne) {
@@ -141,14 +145,41 @@ TEST(ScenarioBuilderDeathTest, ShardsShimAcceptsOnlyOne) {
 }
 
 TEST(ScenarioBuilderDeathTest, RejectsFrameLossOutsideUnitInterval) {
-  EXPECT_DEATH((void)ScenarioBuilder().frame_loss(1.5).build(), "loss");
+  EXPECT_DEATH((void)ScenarioBuilder().frame_loss(1.5).build(),
+               "radio.frame_loss_rate: must be in \\[0, 1\\), got 1.5");
 }
 
 TEST(ScenarioBuilderDeathTest, RejectsFaultWindowPastEndOfRun) {
   FaultConfig fault;
   fault.crash_rate = 0.5;
   fault.window_from = seconds(500);  // run only lasts 150 s
-  EXPECT_DEATH((void)ScenarioBuilder().fault(fault).build(), "window");
+  EXPECT_DEATH((void)ScenarioBuilder().fault(fault).build(),
+               "fault.window_from_s: fault window opens at 500.000s");
+}
+
+// The mobility models' own preconditions are part of the contract, so these
+// die at build() with a path instead of inside Scenario::build().
+TEST(ScenarioBuilderDeathTest, RejectsZeroMinimumSpeedForWaypoint) {
+  EXPECT_DEATH((void)ScenarioBuilder().speed(0.0, 20.0).build(),
+               "mobility.v_min_mps: must be > 0 for waypoint mobility, got 0");
+}
+
+TEST(ScenarioBuilderDeathTest, RejectsManhattanAreaSmallerThanOneBlock) {
+  EXPECT_DEATH(
+      (void)ScenarioBuilder().mobility(MobilityKind::kManhattan).area(100.0, 100.0).build(),
+      "area_m: manhattan mobility needs at least one 200 m block on each side, got 100 x 100 m");
+}
+
+TEST(ScenarioBuilderDeathTest, RejectsGaussMarkovWithZeroSpeeds) {
+  EXPECT_DEATH(
+      (void)ScenarioBuilder().mobility(MobilityKind::kGaussMarkov).speed(0.0, 0.0).build(),
+      "mobility.v_max_mps: gauss-markov mobility needs a positive mean speed");
+}
+
+TEST(ScenarioDeathTest, ConstructorChecksConfigsThatBypassTheBuilder) {
+  ScenarioConfig cfg = ScenarioBuilder().build();
+  cfg.duration = seconds(5);  // what a --duration override does after build()
+  EXPECT_DEATH(Scenario{cfg}, "traffic.start_s: traffic starts at 10.000s");
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "scenario/experiment.hpp"
+#include "scenario/sweep.hpp"
 
 namespace manet {
 namespace {
@@ -93,9 +94,13 @@ TEST(Scenario, StaticNodesSupported) {
   EXPECT_GT(r.data_originated, 0u);
 }
 
+/// Aggregate of a one-cell sweep: `seeds` replications of `cfg`.
+Aggregate run_cell(const ScenarioConfig& cfg, int seeds, unsigned threads) {
+  return SweepRunner(seeds, threads).run({SweepCell{"cell", cfg}}).cells.front().aggregate;
+}
+
 TEST(Experiment, AggregatesSeeds) {
-  ExperimentRunner runner(/*seeds=*/3, /*threads=*/2);
-  const auto agg = runner.run(small_config(Protocol::kAodv));
+  const auto agg = run_cell(small_config(Protocol::kAodv), /*seeds=*/3, /*threads=*/2);
   EXPECT_EQ(agg.replications, 3);
   EXPECT_GT(agg.pdr.mean, 0.0);
   EXPECT_LE(agg.pdr.mean, 1.0);
@@ -104,20 +109,8 @@ TEST(Experiment, AggregatesSeeds) {
 }
 
 TEST(Experiment, SingleSeedHasZeroStderr) {
-  ExperimentRunner runner(1, 1);
-  const auto agg = runner.run(small_config(Protocol::kDsdv));
+  const auto agg = run_cell(small_config(Protocol::kDsdv), 1, 1);
   EXPECT_DOUBLE_EQ(agg.pdr.se, 0.0);
-}
-
-TEST(Experiment, ParallelMatchesSerial) {
-  ExperimentRunner serial(3, 1);
-  ExperimentRunner parallel(3, 3);
-  const auto cfg = small_config(Protocol::kCbrp);
-  const auto a = serial.run(cfg);
-  const auto b = parallel.run(cfg);
-  EXPECT_DOUBLE_EQ(a.pdr.mean, b.pdr.mean);
-  EXPECT_DOUBLE_EQ(a.delay_ms.mean, b.delay_ms.mean);
-  EXPECT_DOUBLE_EQ(a.nrl.mean, b.nrl.mean);
 }
 
 TEST(Scenario, ConnectivityOracleBoundsWellConnectedStaticNet) {
@@ -149,20 +142,6 @@ TEST(Scenario, ConnectivityMeasurementCanBeDisabled) {
   cfg.measure_connectivity = false;
   const auto r = Scenario::run_once(cfg);
   EXPECT_DOUBLE_EQ(r.connectivity, 1.0);
-}
-
-TEST(Experiment, FormatMetric) {
-  const std::string s = format_metric({0.5, 0.01}, 2);
-  EXPECT_NE(s.find("0.50"), std::string::npos);
-  EXPECT_NE(s.find("±"), std::string::npos);
-}
-
-TEST(Experiment, EnvDefaultsDontCrash) {
-  const auto runner = ExperimentRunner::from_env(2);
-  EXPECT_GE(runner.seeds(), 1);
-  ScenarioConfig cfg;
-  ExperimentRunner::apply_env_duration(cfg);  // no env set: unchanged
-  EXPECT_EQ(cfg.duration, seconds(150));
 }
 
 }  // namespace

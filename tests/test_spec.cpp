@@ -8,11 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <vector>
 
 #include "scenario/builder.hpp"
 #include "scenario/scenario.hpp"
+#include "scenario/validate.hpp"
 
 namespace manet {
 namespace {
@@ -68,20 +72,10 @@ std::string fingerprint(const ScenarioConfig& c) {
 }
 
 // -- happy path --------------------------------------------------------------
+// The accepted-spec fixtures are named so SpecProperty below re-checks each.
 
-TEST(SpecLoader, MinimalSpecYieldsOneTableOneCell) {
-  const auto s = load(R"({"name": "mini"})");
-  ASSERT_TRUE(s.ok()) << s.error_report();
-  EXPECT_EQ(s.name, "mini");
-  EXPECT_EQ(s.seeds, 1);
-  EXPECT_EQ(s.out_dir, "results");
-  ASSERT_EQ(s.cells.size(), 1u);
-  EXPECT_EQ(s.cells[0].label, "AODV");
-  EXPECT_EQ(fingerprint(s.cells[0].config), fingerprint(ScenarioBuilder().build()));
-}
-
-TEST(SpecLoader, FullSchemaRoundTrip) {
-  const auto s = load(R"({
+constexpr const char* kMinimal = R"({"name": "mini"})";
+constexpr const char* kFullSchema = R"({
     "name": "full",
     "description": "all keys",
     "seeds": 7,
@@ -109,7 +103,57 @@ TEST(SpecLoader, FullSchemaRoundTrip) {
                 "corrupt_until_s": 40, "partition": true, "partition_frac": 0.4,
                 "partition_from_s": 30, "partition_until_s": 50, "window_from_s": 15}
     }
-  })");
+  })";
+constexpr const char* kRatePps = R"({"name": "r", "base": {"traffic": {"rate_pps": 4}}})";
+constexpr const char* kTransport = R"({
+    "name": "tp",
+    "base": {"transport": {
+      "enabled": true, "rto_initial_ms": 500, "rto_min_ms": 100,
+      "rto_max_ms": 30000, "cwnd_init": 4, "cwnd_max": 16,
+      "max_retx": 5, "buffer_packets": 32
+    }}
+  })";
+constexpr const char* kTransportOff = R"({"name": "off"})";
+constexpr const char* kPauseSweep = R"({
+    "name": "sweep",
+    "sweep": {
+      "protocols": ["AODV", "DSR"],
+      "axes": [{"param": "pause", "values": [0, 30]}]
+    }
+  })";
+constexpr const char* kVmaxAxis = R"({
+    "name": "mob", "sweep": {"axes": [{"param": "vmax", "values": [0, 5]}]}
+  })";
+constexpr const char* kRateAxis = R"({
+    "name": "load",
+    "sweep": {"axes": [{"param": "rate", "values": [4, 8]}]}
+  })";
+constexpr const char* kExplicitCells = R"({
+    "name": "cells",
+    "base": {"nodes": 20},
+    "sweep": {"cells": [
+      {"label": "small", "set": {"nodes": 10}},
+      {"label": "big", "set": {"nodes": 80}}
+    ]}
+  })";
+
+constexpr const char* kAcceptedFixtures[] = {
+    kMinimal, kFullSchema, kRatePps,  kTransport,    kTransportOff,
+    kPauseSweep, kVmaxAxis, kRateAxis, kExplicitCells};
+
+TEST(SpecLoader, MinimalSpecYieldsOneTableOneCell) {
+  const auto s = load(kMinimal);
+  ASSERT_TRUE(s.ok()) << s.error_report();
+  EXPECT_EQ(s.name, "mini");
+  EXPECT_EQ(s.seeds, 1);
+  EXPECT_EQ(s.out_dir, "results");
+  ASSERT_EQ(s.cells.size(), 1u);
+  EXPECT_EQ(s.cells[0].label, "AODV");
+  EXPECT_EQ(fingerprint(s.cells[0].config), fingerprint(ScenarioBuilder().build()));
+}
+
+TEST(SpecLoader, FullSchemaRoundTrip) {
+  const auto s = load(kFullSchema);
   ASSERT_TRUE(s.ok()) << s.error_report();
   EXPECT_EQ(s.seeds, 7);
   EXPECT_EQ(s.out_dir, "out");
@@ -158,21 +202,13 @@ TEST(SpecLoader, FullSchemaRoundTrip) {
 }
 
 TEST(SpecLoader, RatePpsIsIntervalReciprocal) {
-  const auto s = load(
-      R"({"name": "r", "base": {"traffic": {"rate_pps": 4}}})");
+  const auto s = load(kRatePps);
   ASSERT_TRUE(s.ok()) << s.error_report();
   EXPECT_EQ(s.cells[0].config.cbr_interval, milliseconds(250));
 }
 
 TEST(SpecLoader, TransportSectionRoundTrip) {
-  const auto s = load(R"({
-    "name": "tp",
-    "base": {"transport": {
-      "enabled": true, "rto_initial_ms": 500, "rto_min_ms": 100,
-      "rto_max_ms": 30000, "cwnd_init": 4, "cwnd_max": 16,
-      "max_retx": 5, "buffer_packets": 32
-    }}
-  })");
+  const auto s = load(kTransport);
   ASSERT_TRUE(s.ok()) << s.error_report();
   const TransportConfig& t = s.cells[0].config.transport;
   EXPECT_TRUE(t.enabled);
@@ -186,7 +222,7 @@ TEST(SpecLoader, TransportSectionRoundTrip) {
 
   // A spec with no transport section keeps the closed loop off entirely, so
   // existing scenario files keep producing byte-identical open-loop runs.
-  const auto off = load(R"({"name": "off"})");
+  const auto off = load(kTransportOff);
   ASSERT_TRUE(off.ok()) << off.error_report();
   EXPECT_FALSE(off.cells[0].config.transport.enabled);
 }
@@ -194,13 +230,7 @@ TEST(SpecLoader, TransportSectionRoundTrip) {
 // -- sweep expansion ---------------------------------------------------------
 
 TEST(SpecLoader, SweepExpandsProtocolMajorWithBenchLabels) {
-  const auto s = load(R"({
-    "name": "sweep",
-    "sweep": {
-      "protocols": ["AODV", "DSR"],
-      "axes": [{"param": "pause", "values": [0, 30]}]
-    }
-  })");
+  const auto s = load(kPauseSweep);
   ASSERT_TRUE(s.ok()) << s.error_report();
   ASSERT_EQ(s.cells.size(), 4u);
   EXPECT_EQ(s.cells[0].label, "AODV/pause:0");
@@ -212,9 +242,7 @@ TEST(SpecLoader, SweepExpandsProtocolMajorWithBenchLabels) {
 }
 
 TEST(SpecLoader, VmaxZeroMeansStatic) {
-  const auto s = load(R"({
-    "name": "mob", "sweep": {"axes": [{"param": "vmax", "values": [0, 5]}]}
-  })");
+  const auto s = load(kVmaxAxis);
   ASSERT_TRUE(s.ok()) << s.error_report();
   ASSERT_EQ(s.cells.size(), 2u);
   EXPECT_EQ(s.cells[0].label, "AODV/vmax:0");
@@ -224,10 +252,7 @@ TEST(SpecLoader, VmaxZeroMeansStatic) {
 }
 
 TEST(SpecLoader, RateAxisSweepsOfferedLoadAsIntervalReciprocal) {
-  const auto s = load(R"({
-    "name": "load",
-    "sweep": {"axes": [{"param": "rate", "values": [4, 8]}]}
-  })");
+  const auto s = load(kRateAxis);
   ASSERT_TRUE(s.ok()) << s.error_report();
   ASSERT_EQ(s.cells.size(), 2u);
   EXPECT_EQ(s.cells[0].label, "AODV/rate:4");
@@ -243,14 +268,7 @@ TEST(SpecLoader, RateAxisSweepsOfferedLoadAsIntervalReciprocal) {
 }
 
 TEST(SpecLoader, ExplicitCellsOverrideBase) {
-  const auto s = load(R"({
-    "name": "cells",
-    "base": {"nodes": 20},
-    "sweep": {"cells": [
-      {"label": "small", "set": {"nodes": 10}},
-      {"label": "big", "set": {"nodes": 80}}
-    ]}
-  })");
+  const auto s = load(kExplicitCells);
   ASSERT_TRUE(s.ok()) << s.error_report();
   ASSERT_EQ(s.cells.size(), 2u);
   EXPECT_EQ(s.cells[0].label, "small");
@@ -325,6 +343,15 @@ TEST(SpecErrors, NonIntegerWhereIntegerRequired) {
   const auto s = load(R"({"name": "i", "base": {"nodes": 12.5}})");
   ASSERT_FALSE(s.ok());
   EXPECT_TRUE(has_error(s, "must be an integer"));
+
+  // Values the config field cannot hold are rejected before the cast would
+  // wrap or overflow them.
+  const auto s2 = load(R"({"name": "i2", "base": {"nodes": -1, "duration_s": 1e300,
+                                                   "traffic": {"connections": 5e9}}})");
+  ASSERT_EQ(s2.errors.size(), 3u) << s2.error_report();
+  EXPECT_EQ(s2.errors[0].message, "must be >= 0, got -1");
+  EXPECT_EQ(s2.errors[1].message, "is outside the simulator's time range, got 1e+300");
+  EXPECT_EQ(s2.errors[2].message, "must be <= 4294967295, got 5e+09");
 }
 
 TEST(SpecErrors, UnknownProtocolListsRegistry) {
@@ -381,6 +408,30 @@ TEST(SpecErrors, CrossFieldContracts) {
   })");
   ASSERT_FALSE(s4.ok());
   EXPECT_TRUE(has_error(s4, "fault window opens"));
+
+  // The mobility models' own preconditions are part of the contract: each is
+  // reported at the offending value's line instead of aborting the run.
+  const auto s5 =
+      load("{\n\"name\": \"w\",\n\"base\": {\n  \"mobility\": {\n    \"v_min_mps\": 0\n}\n}\n}");
+  ASSERT_EQ(s5.errors.size(), 1u) << s5.error_report();
+  EXPECT_EQ(spec::to_string(s5.errors[0], "f.json"),
+            "f.json:5: base.mobility.v_min_mps: must be > 0 for waypoint mobility, got 0");
+
+  const auto s6 = load(
+      "{\n\"name\": \"m\",\n\"base\": {\n  \"area_m\": [100, 100],\n"
+      "  \"mobility\": {\"model\": \"manhattan\"}\n}\n}");
+  ASSERT_EQ(s6.errors.size(), 1u) << s6.error_report();
+  EXPECT_EQ(spec::to_string(s6.errors[0], "f.json"),
+            "f.json:4: base.area_m: manhattan mobility needs at least one 200 m block on each "
+            "side, got 100 x 100 m");
+
+  const auto s7 = load(
+      "{\n\"name\": \"g\",\n\"base\": {\n  \"mobility\": {\"model\": \"gauss-markov\",\n"
+      "    \"v_min_mps\": 0,\n    \"v_max_mps\": 0}\n}\n}");
+  ASSERT_EQ(s7.errors.size(), 1u) << s7.error_report();
+  EXPECT_EQ(spec::to_string(s7.errors[0], "f.json"),
+            "f.json:6: base.mobility.v_max_mps: gauss-markov mobility needs a positive mean "
+            "speed, got v_min=0 v_max=0 m/s");
 }
 
 TEST(SpecErrors, TransportKeyAndValueViolations) {
@@ -485,11 +536,53 @@ TEST(SpecErrors, SemanticErrorsPointAtTheValueLine) {
   EXPECT_EQ(s.errors[0].line, 4);  // the line "nodes": 1 sits on
   EXPECT_EQ(s.errors[0].key, "base.nodes");
   EXPECT_EQ(spec::to_string(s.errors[0], "f.json"), "f.json:4: base.nodes: must be >= 2, got 1");
+
+  // An axis value is checked once, at its own line, naming the field it
+  // breaks; an explicit cell at the key inside its "set".
+  const auto s2 = load(
+      "{\n\"name\": \"x\",\n\"sweep\": {\"protocols\": [\"AODV\", \"DSR\"],\n"
+      "  \"axes\": [{\"param\": \"pause\", \"values\": [0,\n    -1]}]}\n}");
+  ASSERT_EQ(s2.errors.size(), 1u) << s2.error_report();
+  EXPECT_EQ(spec::to_string(s2.errors[0], "f.json"),
+            "f.json:5: sweep.axes[0].values[1]: mobility.pause_s: must be >= 0, got -1");
+
+  const auto s3 = load(
+      "{\n\"name\": \"x\",\n\"sweep\": {\"cells\": [{\"label\": \"tiny\",\n"
+      "  \"set\": {\n    \"nodes\": 1}}]}\n}");
+  ASSERT_EQ(s3.errors.size(), 1u) << s3.error_report();
+  EXPECT_EQ(spec::to_string(s3.errors[0], "f.json"),
+            "f.json:5: cell \"tiny\": nodes: must be >= 2, got 1");
 }
 
 TEST(SpecErrors, MissingFileIsAnError) {
   const auto s = spec::load_file("/nonexistent/path/spec.json");
   ASSERT_FALSE(s.ok());
+}
+
+// -- the contract holds for everything the loader accepts --------------------
+// Every cell of every shipped scenario file and of every accepted fixture
+// passes validate() and builds a Scenario without a contract abort.
+
+void expect_cells_build(const spec::ScenarioSpec& s) {
+  ASSERT_TRUE(s.ok()) << s.error_report();
+  for (const SweepCell& cell : s.cells) {
+    EXPECT_TRUE(validate(cell.config).empty()) << s.filename << ": " << cell.label;
+    ScenarioConfig cfg = cell.config;
+    cfg.trace_path.clear();  // build only: write no trace file
+    Scenario scenario(cfg);
+    scenario.build();
+  }
+}
+
+TEST(SpecProperty, EveryAcceptedCellValidatesAndBuilds) {
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(MANET_SCENARIOS_DIR)) {
+    if (entry.path().extension() == ".json") files.push_back(entry.path().string());
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_GE(files.size(), 4u);
+  for (const std::string& file : files) expect_cells_build(spec::load_file(file));
+  for (const char* text : kAcceptedFixtures) expect_cells_build(load(text));
 }
 
 // -- DSL == ScenarioBuilder twins --------------------------------------------

@@ -686,8 +686,11 @@ struct Suppressions {
 /// both relative ("src/core/x.cpp") and absolute ("/repo/src/core/x.cpp")
 /// spellings.
 [[nodiscard]] bool in_path(const std::string& path, std::string_view dir) {
-  if (path.rfind(dir, 0) == 0) return true;
-  return path.find("/" + std::string(dir)) != std::string::npos;
+  for (std::size_t pos = path.find(dir); pos != std::string::npos;
+       pos = path.find(dir, pos + 1)) {
+    if (pos == 0 || path[pos - 1] == '/') return true;
+  }
+  return false;
 }
 
 /// Does this scan unit schedule events, transmit, or implement routing state?

@@ -14,7 +14,8 @@
 // spec and the environment.
 //
 // Exit codes: 0 success, 1 run/write failure, 2 usage or spec validation
-// error (every diagnostic is printed as "file:line: key: message").
+// error (every diagnostic is printed as "file:line: key: message"; a cell
+// that a duration override breaks as "file: cell "<label>": key: message").
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -25,6 +26,7 @@
 #include "scenario/scenario.hpp"
 #include "scenario/spec.hpp"
 #include "scenario/sweep.hpp"
+#include "scenario/validate.hpp"
 
 namespace {
 
@@ -81,6 +83,7 @@ int cmd_run(const char* file, const std::vector<const char*>& flags) {
   long seeds_flag = 0;
   long threads_flag = -1;
   double duration_flag = 0.0;
+  std::string duration_override;  ///< the flag or variable that set the duration
   std::string out_dir_flag;
   std::string cell_filter;
   for (const char* arg : flags) {
@@ -100,6 +103,7 @@ int cmd_run(const char* file, const std::vector<const char*>& flags) {
         std::fprintf(stderr, "manetsim: --duration must be positive seconds, got \"%s\"\n", v);
         return 2;
       }
+      duration_override = std::string("--duration=") + v;
     } else if (const char* v = flag_value(arg, "--out-dir")) {
       out_dir_flag = v;
     } else if (const char* v = flag_value(arg, "--cell")) {
@@ -125,13 +129,28 @@ int cmd_run(const char* file, const std::vector<const char*>& flags) {
   if (env.results_dir != "results") out_dir = env.results_dir;
   if (!out_dir_flag.empty()) out_dir = out_dir_flag;
 
+  if (duration_override.empty() && env.duration_s > 0) {
+    duration_override = "MANET_BENCH_DURATION=" + std::to_string(env.duration_s);
+  }
+  const std::string with =
+      duration_override.empty() ? "" : " (with " + duration_override + ")";
+
+  // The spec validated as written; an override can still break a cell's
+  // contract (traffic or a fault window starting after a shortened run).
   std::vector<manet::SweepCell> cells;
+  bool cells_ok = true;
   for (manet::SweepCell& cell : spec.cells) {
     if (!cell_filter.empty() && cell.label.find(cell_filter) == std::string::npos) continue;
     env.apply_duration(cell.config);
     if (duration_flag > 0.0) cell.config.duration = manet::seconds_f(duration_flag);
+    for (const manet::Violation& v : manet::validate(cell.config)) {
+      std::fprintf(stderr, "%s: cell \"%s\": %s: %s%s\n", file, cell.label.c_str(),
+                   v.path.c_str(), v.message.c_str(), with.c_str());
+      cells_ok = false;
+    }
     cells.push_back(std::move(cell));
   }
+  if (!cells_ok) return 2;
   if (cells.empty()) {
     std::fprintf(stderr, "manetsim: --cell=%s matches none of the %zu cell labels\n",
                  cell_filter.c_str(), spec.cells.size());
