@@ -9,6 +9,15 @@ constexpr std::size_t kArity = 4;
 }  // namespace
 
 EventId EventQueue::schedule(SimTime at, Callback cb) {
+  return push(at, next_seq_++, std::move(cb));
+}
+
+EventId EventQueue::schedule_reserved(SimTime at, std::uint64_t seq, Callback cb) {
+  MANET_EXPECTS(seq < next_seq_);
+  return push(at, seq, std::move(cb));
+}
+
+EventId EventQueue::push(SimTime at, std::uint64_t seq, Callback cb) {
   MANET_EXPECTS(cb != nullptr);
 
   std::uint32_t slot = 0;
@@ -30,7 +39,7 @@ EventId EventQueue::schedule(SimTime at, Callback cb) {
   s.live = true;
   s.cb = std::move(cb);
 
-  heap_.push_back(Entry{at, next_seq_++, slot, s.gen});
+  heap_.push_back(Entry{at, seq, slot, s.gen});
   sift_up(heap_.size() - 1);
 
   ++live_;
@@ -106,7 +115,7 @@ EventQueue::Popped EventQueue::pop() {
   pop_heap_top();
 
   Slot& s = slots_[e.slot];
-  Popped out{e.time, make_id(e.slot, e.gen), std::move(s.cb)};
+  Popped out{e.time, e.seq, make_id(e.slot, e.gen), std::move(s.cb)};
   s.live = false;
   s.cb.reset();
   free_.push_back(e.slot);

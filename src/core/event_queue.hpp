@@ -12,6 +12,7 @@
 // O(log4 n) amortized.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <vector>
 
@@ -28,12 +29,34 @@ using EventId = std::uint64_t;
 /// Sentinel for "no event".
 inline constexpr EventId kInvalidEventId = 0;
 
+/// An event's position in dispatch order: time, then insertion sequence.
+/// Keys are unique, so "has the event at key k run yet?" is `k <= current`
+/// while an event is being dispatched.
+struct EventKey {
+  SimTime time;
+  std::uint64_t seq = 0;
+
+  friend constexpr auto operator<=>(const EventKey&, const EventKey&) = default;
+};
+
 class EventQueue {
  public:
   using Callback = EventCallback;
 
   /// Schedule `cb` at absolute time `at`. Returns a handle for cancel().
   EventId schedule(SimTime at, Callback cb);
+
+  /// Take the next insertion sequence number without scheduling anything.
+  /// A component that may never need an event at some instant reserves the
+  /// seq that event would have had, so every later event keeps its number
+  /// whether or not the reserved one is ever scheduled.
+  std::uint64_t reserve_seq() { return next_seq_++; }
+
+  /// Schedule `cb` at the key (`at`, `seq`), where `seq` came from
+  /// reserve_seq(). It dispatches exactly where an event scheduled at the
+  /// moment of reservation would have. At most one live event may hold a
+  /// reserved key; cancel it before scheduling the key again.
+  EventId schedule_reserved(SimTime at, std::uint64_t seq, Callback cb);
 
   /// Cancel a previously scheduled event. Cancelling an already-executed,
   /// already-cancelled, or invalid id is a harmless no-op.
@@ -63,6 +86,7 @@ class EventQueue {
   /// Remove and return the earliest live event. Precondition: !empty().
   struct Popped {
     SimTime time;
+    std::uint64_t seq;
     EventId id;
     Callback cb;
   };
@@ -110,6 +134,7 @@ class EventQueue {
   void pop_heap_top();
   void discard_cancelled_top();
   void retire(std::uint32_t slot);
+  EventId push(SimTime at, std::uint64_t seq, Callback cb);
 
   std::vector<Entry> heap_;   // 4-ary min-heap by (time, seq)
   std::vector<Slot> slots_;

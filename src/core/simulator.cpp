@@ -16,6 +16,15 @@ EventId Simulator::schedule_at(SimTime at, EventQueue::Callback cb) {
   return queue_.schedule(at, std::move(cb));
 }
 
+EventId Simulator::schedule_reserved(EventKey key, EventQueue::Callback cb) {
+  MANET_EXPECTS_MSG(current_key() < key,
+                    "schedule_reserved(%lldns, seq %llu) is not after now=%lldns, seq %llu",
+                    static_cast<long long>(key.time.ns()), static_cast<unsigned long long>(key.seq),
+                    static_cast<long long>(now_.ns()),
+                    static_cast<unsigned long long>(current_seq_));
+  return queue_.schedule_reserved(key.time, key.seq, std::move(cb));
+}
+
 std::uint64_t Simulator::run_until(SimTime until) {
   stopped_ = false;
   std::uint64_t ran = 0;
@@ -26,6 +35,7 @@ std::uint64_t Simulator::run_until(SimTime until) {
     MANET_ASSERT_MSG(ev.time >= now_, "event-queue time moved backwards: popped t=%lldns at now=%lldns",
                      static_cast<long long>(ev.time.ns()), static_cast<long long>(now_.ns()));
     now_ = ev.time;
+    current_seq_ = ev.seq;
     ev.cb();
     ++ran;
     ++events_executed_;
@@ -34,6 +44,7 @@ std::uint64_t Simulator::run_until(SimTime until) {
   // subsequent run_until() continues from a consistent point.
   if (!stopped_ && (queue_.empty() || queue_.next_time() > until)) {
     if (until > now_ && until != SimTime::max()) now_ = until;
+    current_seq_ = UINT64_MAX;
   }
   return ran;
 }

@@ -23,12 +23,28 @@ class Simulator {
   /// Current simulated time.
   [[nodiscard]] SimTime now() const { return now_; }
 
+  /// Insertion sequence of the event being dispatched. Reads UINT64_MAX
+  /// outside dispatch — before the first run and after run_until() returns
+  /// normally — so every event at or before now() counts as already run.
+  [[nodiscard]] std::uint64_t current_seq() const { return current_seq_; }
+
+  /// (now(), current_seq()): an event at key k has run iff k <= current_key().
+  [[nodiscard]] EventKey current_key() const { return {now_, current_seq_}; }
+
   /// Schedule `cb` to run `delay` from now. Negative delays are a contract
   /// violation — the past is immutable.
   EventId schedule(SimTime delay, EventQueue::Callback cb);
 
   /// Schedule `cb` at absolute time `at` (must not be in the past).
   EventId schedule_at(SimTime at, EventQueue::Callback cb);
+
+  /// See EventQueue::reserve_seq(): the seq an event scheduled right now
+  /// would get, without scheduling one.
+  std::uint64_t reserve_seq() { return queue_.reserve_seq(); }
+
+  /// Schedule `cb` at a key taken earlier with reserve_seq(); the key must
+  /// lie after current_key().
+  EventId schedule_reserved(EventKey key, EventQueue::Callback cb);
 
   /// Cancel a scheduled event (no-op if already run/cancelled).
   void cancel(EventId id) { queue_.cancel(id); }
@@ -58,6 +74,7 @@ class Simulator {
  private:
   EventQueue queue_;
   SimTime now_ = SimTime::zero();
+  std::uint64_t current_seq_ = UINT64_MAX;
   bool stopped_ = false;
   std::uint64_t events_executed_ = 0;
 };

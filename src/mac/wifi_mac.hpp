@@ -83,13 +83,13 @@ class WifiMac final : public PhyListener {
   };
 
   // -- contention engine ------------------------------------------------------
+  void set_state(State s);       // also (un)subscribes to busy/idle edges
   void start_service();          // begin serving the next queued frame
   void begin_contention();
   void medium_check();
   void difs_elapsed();
   void backoff_done();
   void freeze_backoff();
-  [[nodiscard]] bool medium_free() const;
   [[nodiscard]] SimTime idle_since() const;
 
   // -- transmit paths -----------------------------------------------------------
@@ -125,7 +125,6 @@ class WifiMac final : public PhyListener {
   SimTime backoff_started_ = SimTime::zero();
 
   SimTime nav_until_ = SimTime::zero();
-  SimTime last_idle_start_ = SimTime::zero();
 
   EventId difs_ev_ = kInvalidEventId;
   EventId nav_ev_ = kInvalidEventId;

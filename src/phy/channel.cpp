@@ -127,20 +127,4 @@ SimTime Channel::transmit(NodeId sender, const Packet& frame) {
   return airtime;
 }
 
-std::vector<NodeId> Channel::neighbors_of(NodeId id, double radius) {
-  const Vec2 p = position_of(id);
-  // Refresh candidates exactly, as transmit() does.
-  const double slack = max_speed_ * refresh_.sec() * 2.0 + 1.0;
-  scratch_.clear();
-  grid_.query(p, radius + slack, id, scratch_);
-  std::vector<NodeId> out;
-  const double r2 = radius * radius;
-  for (const std::uint32_t cand : scratch_) {
-    const Vec2 q = mob_[cand]->position_at(sim_.now());
-    grid_.update(cand, q);
-    if (distance2(p, q) <= r2) out.push_back(cand);
-  }
-  return out;
-}
-
 }  // namespace manet

@@ -46,10 +46,6 @@ class Channel {
   /// Current position of a node (refreshes its grid slot).
   [[nodiscard]] Vec2 position_of(NodeId id);
 
-  /// Ids of nodes within `radius` of node `id` at current time (exact).
-  /// Exposed for tests and for topology dumps in examples.
-  std::vector<NodeId> neighbors_of(NodeId id, double radius);
-
   // -- fault injection --------------------------------------------------------
   /// Attach the fault masks (crashed nodes, blacked-out links, corruption
   /// rate). Null (the default) means no faults; transmit() then takes its

@@ -9,10 +9,25 @@
 //     DESIGN.md);
 //   * transmitting while a frame is arriving corrupts that frame
 //     (half-duplex).
-// The MAC observes the medium through busy()/idle edges and receives only
-// frames that survived uncorrupted.
+//
+// Event-lean reception. A decodable arrival costs two events, rx_start and
+// rx_end, because its delivery happens at rx_end. A carrier-only arrival
+// (heard, not decodable) costs only rx_start: there it reserves the
+// sequence number its end event would have had, and the transceiver keeps
+// the latest such end key. The carrier is active while that key lies after
+// the dispatching event's key, so busy tests and the collision rule resolve
+// same-instant ties exactly as a real end event would. Its rx energy goes
+// to the StatsCollector's end-key ledger.
+//
+// The MAC observes the medium through medium_busy()/idle_since() and, only
+// while it has subscribed with listen_edges(true), through busy/idle edges.
+// A subscriber hears a carrier's busy -> idle edge from one event scheduled
+// at a reserved end key; if a later arrival has extended the carrier by the
+// time it fires, it re-arms at the new end. Frames that survive uncorrupted
+// reach the listener through phy_rx() always.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -30,9 +45,9 @@ class Channel;
 class PhyListener {
  public:
   virtual ~PhyListener() = default;
-  /// The medium transitioned idle -> busy.
+  /// The medium transitioned idle -> busy (only while listen_edges is on).
   virtual void phy_busy_start() = 0;
-  /// The medium transitioned busy -> idle.
+  /// The medium transitioned busy -> idle (only while listen_edges is on).
   virtual void phy_busy_end() = 0;
   /// A frame arrived intact.
   virtual void phy_rx(const Packet& frame) = 0;
@@ -50,8 +65,20 @@ class Transceiver {
   [[nodiscard]] const PhyConfig& config() const { return cfg_; }
 
   /// True while transmitting or while any in-range energy is arriving.
-  [[nodiscard]] bool medium_busy() const { return transmitting_ || rx_energy_ > 0; }
+  [[nodiscard]] bool medium_busy() const {
+    return transmitting_ || !active_.empty() || carrier_active();
+  }
   [[nodiscard]] bool transmitting() const { return transmitting_; }
+
+  /// Start of the current idle period: the latest busy -> idle edge. Only
+  /// meaningful while !medium_busy().
+  [[nodiscard]] SimTime idle_since() const {
+    return std::max(last_idle_edge_, carrier_end_.time);
+  }
+
+  /// Deliver busy/idle edges to the listener (on) or stop (off). Turning it
+  /// on mid-carrier arms the edge at the carrier's end.
+  void listen_edges(bool on);
 
   /// Start transmitting `frame`; the caller (MAC) guarantees its own access
   /// rules. Returns the time on air.
@@ -66,8 +93,7 @@ class Transceiver {
 
   // -- fault injection --------------------------------------------------------
   /// Power the radio down/up. While down, new arrivals are ignored and any
-  /// reception already in flight is corrupted; rx_end events for those still
-  /// fire, keeping the energy bookkeeping balanced.
+  /// reception already in flight is corrupted; its energy still counts.
   void set_down(bool down);
   [[nodiscard]] bool down() const { return down_; }
 
@@ -76,15 +102,22 @@ class Transceiver {
   [[nodiscard]] std::uint64_t frames_corrupted() const { return frames_corrupt_; }
 
  private:
+  /// A decodable arrival in flight (carrier-only ones leave no entry).
   struct ActiveRx {
     std::uint64_t key;
     SimTime airtime;
-    std::shared_ptr<const Packet> frame;  // null: carrier-only arrival
+    std::shared_ptr<const Packet> frame;
     bool corrupted;
   };
 
+  /// Some carrier-only arrival has not ended at the dispatching event's key.
+  [[nodiscard]] bool carrier_active() const { return sim_.current_key() < carrier_end_; }
+
+  void carrier_start(SimTime airtime);
   void rx_end(std::uint64_t key);
   void tx_end();
+  void carrier_idle_edge();
+  void arm_idle_edge();
   void update_busy_edges(bool was_busy);
 
   Simulator& sim_;
@@ -96,8 +129,11 @@ class Transceiver {
 
   bool transmitting_ = false;
   bool down_ = false;
-  int rx_energy_ = 0;
+  bool listening_ = false;
   std::vector<ActiveRx> active_;
+  EventKey carrier_end_{};  ///< latest carrier-only end key
+  SimTime last_idle_edge_ = SimTime::zero();  ///< latest edge seen at an event
+  EventId idle_edge_ev_ = kInvalidEventId;  ///< carrier_idle_edge() at carrier_end_
   std::uint64_t next_key_ = 0;
   std::uint64_t frames_rx_ = 0;
   std::uint64_t frames_corrupt_ = 0;

@@ -169,9 +169,11 @@ void Scenario::build() {
 
   if (!cfg_.trace_path.empty()) {
     trace_ = std::make_unique<TraceWriter>(cfg_.trace_path);
-    if (trace_->ok()) {
-      for (auto& node : nodes_) node->set_trace(trace_.get());
-    }
+    // A run that silently writes no trace looks like a run that traced
+    // nothing; `manetsim run` reports this with the spec's line first.
+    MANET_EXPECTS_MSG(trace_->ok(), "trace: cannot open \"%s\": %s", cfg_.trace_path.c_str(),
+                      trace_->error().c_str());
+    for (auto& node : nodes_) node->set_trace(trace_.get());
   }
 
   for (auto& node : nodes_) {
@@ -250,18 +252,53 @@ void Scenario::build() {
   }
 }
 
+void Scenario::snapshot_positions(double cell) {
+  // Exact positions, read once, bucketed by cell in CSR form: node ids in
+  // ascending order within each cell, one flat array for all cells.
+  const std::size_t n = nodes_.size();
+  conn_nx_ = static_cast<std::size_t>(cfg_.area.width / cell) + 1;
+  const std::size_t ny = static_cast<std::size_t>(cfg_.area.height / cell) + 1;
+  const auto cell_of = [&](Vec2 p) {
+    const Vec2 q = cfg_.area.clamp(p);
+    const std::size_t cx = std::min(static_cast<std::size_t>(q.x / cell), conn_nx_ - 1);
+    const std::size_t cy = std::min(static_cast<std::size_t>(q.y / cell), ny - 1);
+    return static_cast<std::uint32_t>(cy * conn_nx_ + cx);
+  };
+  const std::size_t ncells = conn_nx_ * ny;
+  conn_pos_.resize(n);
+  conn_cell_of_.resize(n);
+  conn_cell_begin_.assign(ncells + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    conn_pos_[i] = nodes_[i]->mobility().position_at(sim_.now());
+    conn_cell_of_[i] = cell_of(conn_pos_[i]);
+    ++conn_cell_begin_[conn_cell_of_[i]];
+  }
+  // Running counts make each entry its cell's end; filling from the back
+  // then walks every entry down to its cell's begin.
+  for (std::size_t c = 1; c < ncells; ++c) conn_cell_begin_[c] += conn_cell_begin_[c - 1];
+  conn_cell_begin_[ncells] = static_cast<std::uint32_t>(n);
+  conn_cell_ids_.resize(n);
+  for (std::size_t i = n; i-- > 0;) {
+    conn_cell_ids_[--conn_cell_begin_[conn_cell_of_[i]]] = static_cast<NodeId>(i);
+  }
+}
+
 void Scenario::sample_connectivity() {
   // Reachability in the instantaneous unit-disk graph over exact positions.
   // The adjacency is never materialized: one lazy BFS per distinct flow
-  // source expands grid-locally through Channel::neighbors_of and stops as
-  // soon as every destination of that source has been reached. This replaced
-  // an O(N) sweep that built the full N-node adjacency map each second —
-  // intractable bookkeeping at N = 10,000 when only a handful of flow
-  // endpoints matter. Reachability over the same graph is unchanged, so the
+  // source scans each frontier node's 3x3 block of snapshot cells and stops
+  // as soon as every destination of that source has been reached.
+  // Reachability over the same graph does not depend on visit order, so the
   // connectivity metric (and the pinned goldens) stay byte-identical.
   const PhyConfig& phy = cfg_.phy;
   const double radius = phy.rx_range_m;
+  const double r2 = radius * radius;
   const double nlos_r2 = phy.nlos_rx_range_m * phy.nlos_rx_range_m;
+  // Cells a hair wider than the radius: any pair that passes the inclusive
+  // distance test then sits in adjacent cells despite rounding in x / cell.
+  snapshot_positions(radius * (1.0 + 1e-9));
+  const std::size_t ncells = conn_cell_begin_.size() - 1;
+  const std::size_t ny = ncells / conn_nx_;
   conn_mark_.resize(cfg_.num_nodes, 0);
 
   // Group destinations by source in first-appearance order (deterministic;
@@ -285,18 +322,26 @@ void Scenario::sample_connectivity() {
     while (!conn_frontier_.empty() && !reached_all()) {
       conn_next_.clear();
       for (const NodeId u : conn_frontier_) {
-        for (const NodeId v : channel_->neighbors_of(u, radius)) {
-          if (conn_mark_[v] == epoch) continue;
-          // Urban family: the oracle honours the street-canyon model — an
-          // NLOS pair is an edge only within the diffraction range. Open
-          // field (urban() == false) takes the plain unit-disk edge.
-          if (phy.urban()) {
-            const Vec2 pu = channel_->position_of(u);
-            const Vec2 pv = channel_->position_of(v);
-            if (!phy.line_of_sight(pu, pv) && distance2(pu, pv) > nlos_r2) continue;
+        const Vec2 pu = conn_pos_[u];
+        const std::size_t cx = conn_cell_of_[u] % conn_nx_;
+        const std::size_t cy = conn_cell_of_[u] / conn_nx_;
+        for (std::size_t y = cy == 0 ? 0 : cy - 1; y <= std::min(cy + 1, ny - 1); ++y) {
+          for (std::size_t x = cx == 0 ? 0 : cx - 1; x <= std::min(cx + 1, conn_nx_ - 1); ++x) {
+            const std::size_t c = y * conn_nx_ + x;
+            for (std::uint32_t k = conn_cell_begin_[c]; k < conn_cell_begin_[c + 1]; ++k) {
+              const NodeId v = conn_cell_ids_[k];
+              if (conn_mark_[v] == epoch) continue;
+              const Vec2 pv = conn_pos_[v];
+              const double d2 = distance2(pu, pv);
+              if (d2 > r2) continue;
+              // Urban family: the oracle honours the street-canyon model —
+              // an NLOS pair is an edge only within the diffraction range.
+              // Open field (urban() == false) takes the plain unit-disk edge.
+              if (phy.urban() && !phy.line_of_sight(pu, pv) && d2 > nlos_r2) continue;
+              conn_mark_[v] = epoch;
+              conn_next_.push_back(v);
+            }
           }
-          conn_mark_[v] = epoch;
-          conn_next_.push_back(v);
         }
       }
       conn_frontier_.swap(conn_next_);
@@ -358,6 +403,8 @@ ScenarioResult Scenario::run() {
   const PacketUidScope uids(next_uid_);
   build();
   sim_.run_until(cfg_.duration);
+  // Carrier-only arrivals that ended by the horizon; later ones never ran.
+  stats_.settle_rx_energy(EventKey{cfg_.duration, UINT64_MAX});
   if (trace_) trace_->flush();
 
   ScenarioResult r;

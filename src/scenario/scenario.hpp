@@ -195,6 +195,7 @@ class Scenario {
 
  private:
   void sample_connectivity();
+  void snapshot_positions(double cell);
   void apply_fault(const FaultEvent& ev);
 
   ScenarioConfig cfg_;
@@ -220,7 +221,13 @@ class Scenario {
   std::uint64_t conn_samples_ = 0;
   std::uint64_t conn_connected_ = 0;
   // Lazy-BFS scratch for sample_connectivity(): epoch-marked visit flags
-  // (no O(N) clear per source) plus reusable frontier buffers.
+  // (no O(N) clear per source) plus reusable frontier buffers, and the
+  // per-sample position snapshot with its CSR cell buckets.
+  std::vector<Vec2> conn_pos_;
+  std::vector<std::uint32_t> conn_cell_of_;     ///< cell of each node
+  std::vector<std::uint32_t> conn_cell_begin_;  ///< cell c: ids [begin[c], begin[c + 1])
+  std::vector<NodeId> conn_cell_ids_;           ///< node ids grouped by cell
+  std::size_t conn_nx_ = 1;                     ///< cells per row
   std::vector<std::uint32_t> conn_mark_;
   std::uint32_t conn_epoch_ = 0;
   std::vector<NodeId> conn_frontier_;

@@ -538,6 +538,9 @@ ScenarioSpec load_string(const std::string& text, const std::string& filename) {
   for (const Violation& v : fresh_violations(base, seen)) {
     c.fail_at(line_of(base_value, v.path, root.line), "base." + v.path, v.message);
   }
+  if (!base.trace_path.empty()) {
+    spec.trace_lines.emplace(base.trace_path, line_of(base_value, "trace", root.line));
+  }
 
   // -- sweep expansion -------------------------------------------------------
   // Grid cells: (protocol × axis values) in nested-loop order, protocol
@@ -715,6 +718,9 @@ ScenarioSpec load_string(const std::string& text, const std::string& filename) {
     for (const Violation& bad : fresh_violations(cfg, seen)) {
       c.fail_at(line_of(cell.set, bad.path, cell.line), "cell \"" + cell.label + "\"",
                 bad.path + ": " + bad.message);
+    }
+    if (!cfg.trace_path.empty()) {
+      spec.trace_lines.emplace(cfg.trace_path, line_of(cell.set, "trace", cell.line));
     }
     spec.cells.push_back(SweepCell{cell.label, std::move(cfg)});
   }

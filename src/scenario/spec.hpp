@@ -69,6 +69,7 @@
 // compiler-style "file:line: key: message" Error. A spec that loads clean
 // therefore builds.
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -95,6 +96,9 @@ struct ScenarioSpec {
   std::string filename;     ///< as passed to load_file / load_string
   std::vector<SweepCell> cells;  ///< valid only when ok()
   std::vector<Error> errors;
+  /// Line of the key that set each trace path (base "trace" or a cell's
+  /// "set"), to locate run-time failures such as an unopenable trace file.
+  std::map<std::string, int> trace_lines;
 
   [[nodiscard]] bool ok() const { return errors.empty(); }
   /// Every error rendered via to_string(), one per line.

@@ -1,5 +1,6 @@
 #include "stats/stats.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace manet {
@@ -50,6 +51,24 @@ void StatsCollector::on_data_delivered(SimTime delay, std::size_t payload_bytes,
       ++repair_latency_samples_;
     }
     pending_heals_.clear();
+  }
+}
+
+namespace {
+// Heap order for the rx-energy ledger: the earliest end key on top.
+constexpr auto kEndsLater = [](const auto& a, const auto& b) { return b.end < a.end; };
+}  // namespace
+
+void StatsCollector::defer_rx_energy(EventKey end, double joules) {
+  rx_deferred_.push_back({end, joules});
+  std::push_heap(rx_deferred_.begin(), rx_deferred_.end(), kEndsLater);
+}
+
+void StatsCollector::settle_rx_energy(EventKey horizon) {
+  while (!rx_deferred_.empty() && rx_deferred_.front().end < horizon) {
+    energy_rx_j_ += rx_deferred_.front().joules;
+    std::pop_heap(rx_deferred_.begin(), rx_deferred_.end(), kEndsLater);
+    rx_deferred_.pop_back();
   }
 }
 

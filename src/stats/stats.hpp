@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/event_queue.hpp"
 #include "core/time.hpp"
 
 namespace manet {
@@ -65,7 +66,20 @@ class StatsCollector {
   // -- physical layer ------------------------------------------------------
   void on_collision() { ++collisions_; }
   void on_tx_energy(double joules) { energy_tx_j_ += joules; }
-  void on_rx_energy(double joules) { energy_rx_j_ += joules; }
+  /// Rx energy of an arrival whose end event is dispatching at `at`. Every
+  /// deferred entry before `at` is summed in first: the total is a double,
+  /// so it must be summed in end-key order to stay bit-exact.
+  void on_rx_energy(EventKey at, double joules) {
+    if (!rx_deferred_.empty() && rx_deferred_.front().end < at) settle_rx_energy(at);
+    energy_rx_j_ += joules;
+  }
+  /// Rx energy of an arrival that has no end event (carrier only): held in
+  /// a ledger ordered by `end`, the key its end event would have had.
+  void defer_rx_energy(EventKey end, double joules);
+  /// Sum every deferred entry whose key is before `horizon`, in key order.
+  /// Scenario::run() settles at (duration, UINT64_MAX), so an arrival that
+  /// ends after the horizon is never counted, as if its end never ran.
+  void settle_rx_energy(EventKey horizon);
 
   // -- fault injection -------------------------------------------------------
   void on_node_crash() { ++crashes_; }
@@ -104,6 +118,8 @@ class StatsCollector {
   /// numerator of throughput; cross-checked against FlowMonitor rx bytes).
   [[nodiscard]] std::uint64_t delivered_bytes() const { return delivered_bytes_; }
   [[nodiscard]] double energy_tx_j() const { return energy_tx_j_; }
+  /// Settled rx energy: deferred entries count once settle_rx_energy() or a
+  /// later on_rx_energy() has passed their end key.
   [[nodiscard]] double energy_rx_j() const { return energy_rx_j_; }
   /// Radio energy (tx+rx airtime only; idle/sleep not modelled) per
   /// delivered data packet, in millijoules; 0 when nothing was delivered.
@@ -164,6 +180,11 @@ class StatsCollector {
   std::uint64_t duplicate_deliveries_ = 0;
   double energy_tx_j_ = 0.0;
   double energy_rx_j_ = 0.0;
+  struct DeferredEnergy {
+    EventKey end;
+    double joules;
+  };
+  std::vector<DeferredEnergy> rx_deferred_;  ///< min-heap by `end`
   std::uint64_t delivered_bytes_ = 0;
   std::uint64_t hops_sum_ = 0;
   double delay_sum_s_ = 0.0;

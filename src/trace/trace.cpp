@@ -1,5 +1,8 @@
 #include "trace/trace.hpp"
 
+#include <cerrno>
+#include <cstring>
+
 namespace manet {
 
 const char* trace_type(const Packet& pkt) {
@@ -18,7 +21,10 @@ const char* trace_type(const Packet& pkt) {
   return "?";
 }
 
-TraceWriter::TraceWriter(const std::string& path) { file_ = std::fopen(path.c_str(), "w"); }
+TraceWriter::TraceWriter(const std::string& path) {
+  file_ = std::fopen(path.c_str(), "w");
+  if (file_ == nullptr) error_ = std::strerror(errno);
+}
 
 TraceWriter::~TraceWriter() {
   if (file_ != nullptr) std::fclose(file_);

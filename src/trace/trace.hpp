@@ -29,6 +29,8 @@ class TraceWriter {
   TraceWriter& operator=(const TraceWriter&) = delete;
 
   [[nodiscard]] bool ok() const { return file_ != nullptr; }
+  /// Why the file could not be opened (the OS's reason); empty when ok().
+  [[nodiscard]] const std::string& error() const { return error_; }
 
   void record(char event, SimTime now, NodeId node, const Packet& pkt,
               const char* note = "");
@@ -47,6 +49,7 @@ class TraceWriter {
 
  private:
   std::FILE* file_ = nullptr;
+  std::string error_;
   std::uint64_t lines_ = 0;
 };
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -209,27 +210,52 @@ TEST(EventQueue, FuzzMatchesReferenceModel) {
   for (const std::uint64_t seed : {11u, 22u, 33u, 44u}) {
     RngStream rng(seed);
     EventQueue q;
-    std::vector<RefEvent> ref;        // by insertion order; seq = index
+    std::vector<RefEvent> ref;        // by scheduling order
     std::vector<EventId> ids;         // parallel to ref
     std::vector<int> fired;
+    std::uint64_t next_seq = 0;       // the model's insertion counter
+    // Reserved seqs; each maps to its index in ref once scheduled.
+    std::vector<std::pair<std::uint64_t, std::size_t>> reserved;
+    constexpr std::size_t kUnscheduled = SIZE_MAX;
     int next_payload = 0;
 
     auto ref_pop = [&]() -> RefEvent* {
       RefEvent* best = nullptr;
       for (RefEvent& e : ref) {
         if (!e.live) continue;
-        if (best == nullptr || e.time < best->time) best = &e;  // seq order = scan order
+        if (best == nullptr || EventKey{e.time, e.seq} < EventKey{best->time, best->seq}) {
+          best = &e;
+        }
       }
       return best;
+    };
+    auto add = [&](SimTime t, std::uint64_t seq, int payload, EventId id) {
+      ref.push_back({t, seq, payload, true});
+      ids.push_back(id);
     };
 
     for (int step = 0; step < 3000; ++step) {
       const double dice = rng.uniform();
-      if (dice < 0.55) {  // schedule
+      if (dice < 0.45) {  // schedule
         const SimTime t = milliseconds(rng.uniform_int(0, 500));
         const int payload = next_payload++;
-        ids.push_back(q.schedule(t, [payload, &fired] { fired.push_back(payload); }));
-        ref.push_back({t, static_cast<std::uint64_t>(ref.size()), payload, true});
+        add(t, next_seq++, payload,
+            q.schedule(t, [payload, &fired] { fired.push_back(payload); }));
+      } else if (dice < 0.50) {  // reserve a seq without scheduling
+        ASSERT_EQ(q.reserve_seq(), next_seq);
+        reserved.emplace_back(next_seq++, kUnscheduled);
+      } else if (dice < 0.60 && !reserved.empty()) {  // (re-)arm a reserved key
+        auto& [seq, at] = reserved[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(reserved.size()) - 1))];
+        if (at != kUnscheduled && ref[at].live) {
+          q.cancel(ids[at]);  // at most one live event per reserved key
+          ref[at].live = false;
+        }
+        const SimTime t = milliseconds(rng.uniform_int(0, 500));
+        const int payload = next_payload++;
+        at = ref.size();
+        add(t, seq, payload,
+            q.schedule_reserved(t, seq, [payload, &fired] { fired.push_back(payload); }));
       } else if (dice < 0.80 && !ids.empty()) {  // cancel a random id (maybe stale)
         const auto idx = static_cast<std::size_t>(
             rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1));
@@ -241,6 +267,7 @@ TEST(EventQueue, FuzzMatchesReferenceModel) {
         RefEvent* expect = ref_pop();
         ASSERT_NE(expect, nullptr);
         ASSERT_EQ(ev.time, expect->time);
+        ASSERT_EQ(ev.seq, expect->seq);
         expect->live = false;
         const auto before = fired.size();
         ev.cb();
@@ -253,6 +280,7 @@ TEST(EventQueue, FuzzMatchesReferenceModel) {
       auto ev = q.pop();
       RefEvent* expect = ref_pop();
       ASSERT_NE(expect, nullptr);
+      ASSERT_EQ(ev.seq, expect->seq);
       expect->live = false;
       ev.cb();
       ASSERT_EQ(fired.back(), expect->payload);

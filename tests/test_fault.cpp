@@ -186,14 +186,13 @@ ScenarioConfig faulted_config(Protocol p, std::uint64_t seed) {
   return cfg;
 }
 
-std::string fingerprint(Protocol p, std::uint64_t seed) {
+test::Fingerprint fingerprint(Protocol p, std::uint64_t seed) {
   const auto r = Scenario::run_once(faulted_config(p, seed));
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "%s seed=%llu events=%llu orig=%llu deliv=%llu crashes=%llu corrupt=%llu "
+                "%s seed=%llu orig=%llu deliv=%llu crashes=%llu corrupt=%llu "
                 "during=%llu after=%llu pdr=%.12g repair=%.12g",
                 to_string(p), static_cast<unsigned long long>(seed),
-                static_cast<unsigned long long>(r.events),
                 static_cast<unsigned long long>(r.data_originated),
                 static_cast<unsigned long long>(r.data_delivered),
                 static_cast<unsigned long long>(r.crashes),
@@ -201,17 +200,17 @@ std::string fingerprint(Protocol p, std::uint64_t seed) {
                 static_cast<unsigned long long>(r.delivered_during_fault),
                 static_cast<unsigned long long>(r.delivered_after_fault), r.pdr,
                 r.repair_latency_ms);
-  return buf;
+  return {buf, r.events};
 }
 
-const char* const kGoldens[] = {
-    "AODV seed=1 events=16577 orig=155 deliv=103 crashes=14 corrupt=43 during=103 after=0 pdr=0.664516129032 repair=174.691716286",
-    "DSR seed=1 events=18674 orig=155 deliv=103 crashes=14 corrupt=45 during=103 after=0 pdr=0.664516129032 repair=163.187730071",
-    "CBRP seed=1 events=13342 orig=155 deliv=76 crashes=14 corrupt=43 during=76 after=0 pdr=0.490322580645 repair=185.7412915",
-    "DSDV seed=1 events=22539 orig=155 deliv=99 crashes=14 corrupt=66 during=99 after=0 pdr=0.638709677419 repair=221.587281357",
-    "OLSR seed=1 events=19890 orig=155 deliv=94 crashes=14 corrupt=38 during=94 after=0 pdr=0.606451612903 repair=210.127528143",
-    "LAR seed=1 events=17597 orig=155 deliv=103 crashes=14 corrupt=45 during=103 after=0 pdr=0.664516129032 repair=159.491294643",
-    "TORA seed=1 events=23547 orig=155 deliv=102 crashes=14 corrupt=62 during=102 after=0 pdr=0.658064516129 repair=158.838976143",
+const test::Golden kGoldens[] = {
+    {"AODV seed=1 orig=155 deliv=103 crashes=14 corrupt=43 during=103 after=0 pdr=0.664516129032 repair=174.691716286", 13458},
+    {"DSR seed=1 orig=155 deliv=103 crashes=14 corrupt=45 during=103 after=0 pdr=0.664516129032 repair=163.187730071", 15088},
+    {"CBRP seed=1 orig=155 deliv=76 crashes=14 corrupt=43 during=76 after=0 pdr=0.490322580645 repair=185.7412915", 11071},
+    {"DSDV seed=1 orig=155 deliv=99 crashes=14 corrupt=66 during=99 after=0 pdr=0.638709677419 repair=221.587281357", 18622},
+    {"OLSR seed=1 orig=155 deliv=94 crashes=14 corrupt=38 during=94 after=0 pdr=0.606451612903 repair=210.127528143", 16265},
+    {"LAR seed=1 orig=155 deliv=103 crashes=14 corrupt=45 during=103 after=0 pdr=0.664516129032 repair=159.491294643", 14286},
+    {"TORA seed=1 orig=155 deliv=102 crashes=14 corrupt=62 during=102 after=0 pdr=0.658064516129 repair=158.838976143", 19137},
 };
 
 TEST(FaultDeterminism, PerSeedFingerprintsMatchGoldens) {
@@ -236,32 +235,29 @@ ScenarioConfig transport_faulted_config(Protocol p, std::uint64_t seed) {
   return cfg;
 }
 
-std::string transport_fault_fingerprint(Protocol p, std::uint64_t seed) {
+test::Fingerprint transport_fault_fingerprint(Protocol p, std::uint64_t seed) {
   const auto r = Scenario::run_once(transport_faulted_config(p, seed));
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "events=%llu orig=%llu deliv=%llu tretx=%llu flows=%zu crashes=%llu "
+                "orig=%llu deliv=%llu tretx=%llu flows=%zu crashes=%llu "
                 "pdr=%.12g",
-                static_cast<unsigned long long>(r.events),
                 static_cast<unsigned long long>(r.data_originated),
                 static_cast<unsigned long long>(r.data_delivered),
                 static_cast<unsigned long long>(r.retransmissions), r.flows.size(),
                 static_cast<unsigned long long>(r.crashes), r.pdr);
-  return buf;
+  return {buf, r.events};
 }
 
 TEST(FaultDeterminism, TransportFaultedRunsDeterministicAndPinned) {
   const struct {
     Protocol protocol;
-    const char* golden;
+    test::Golden golden;
   } kTransportGoldens[] = {
-      {Protocol::kAodv,
-       "events=29697 orig=155 deliv=103 tretx=7 flows=4 crashes=14 pdr=0.664516129032"},
-      {Protocol::kDsdv,
-       "events=34594 orig=155 deliv=99 tretx=13 flows=4 crashes=14 pdr=0.638709677419"},
+      {Protocol::kAodv, {"orig=155 deliv=103 tretx=7 flows=4 crashes=14 pdr=0.664516129032", 24081}},
+      {Protocol::kDsdv, {"orig=155 deliv=99 tretx=13 flows=4 crashes=14 pdr=0.638709677419", 29191}},
   };
   for (const auto& g : kTransportGoldens) {
-    const std::string fp = transport_fault_fingerprint(g.protocol, 1);
+    const test::Fingerprint fp = transport_fault_fingerprint(g.protocol, 1);
     test::expect_golden(fp, g.golden,
                         std::string(to_string(g.protocol)) + " transport faulted run");
     // Bit-identical on replay: timers, aborts and epochs are all replayable.

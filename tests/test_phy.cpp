@@ -23,7 +23,8 @@ class RecordingListener : public PhyListener {
   std::vector<Packet> frames;
 };
 
-/// N static transceivers on a channel, with recording listeners.
+/// N static transceivers on a channel, with recording listeners subscribed
+/// to busy/idle edges (as a contending MAC is).
 struct PhyNet {
   explicit PhyNet(const std::vector<Vec2>& positions, PhyConfig cfg = {}) {
     channel = std::make_unique<Channel>(sim, cfg, Area{3000.0, 3000.0});
@@ -32,6 +33,7 @@ struct PhyNet {
       trx.push_back(std::make_unique<Transceiver>(sim, cfg, static_cast<NodeId>(i)));
       listeners.push_back(std::make_unique<RecordingListener>());
       trx.back()->set_listener(listeners.back().get());
+      trx.back()->listen_edges(true);
       channel->add(trx.back().get(), mobs.back().get());
     }
     channel->start();
@@ -163,10 +165,88 @@ TEST(Phy, BroadcastReachesAllInRange) {
   EXPECT_TRUE(net.listeners[3]->frames.empty());
 }
 
-TEST(Phy, NeighborsOfUsesExactPositions) {
-  PhyNet net({{0.0, 0.0}, {249.0, 0.0}, {251.0, 0.0}});
-  const auto nbrs = net.channel->neighbors_of(0, 250.0);
-  EXPECT_EQ(nbrs, (std::vector<NodeId>{1}));
+// -- event-lean reception: carrier-only arrivals have no end event -----------
+
+/// Records edges with their times; reception is driven directly (no channel).
+class EdgeClock : public PhyListener {
+ public:
+  explicit EdgeClock(Simulator& sim) : sim_(sim) {}
+  void phy_busy_start() override { starts.push_back(sim_.now()); }
+  void phy_busy_end() override { ends.push_back(sim_.now()); }
+  void phy_rx(const Packet& /*frame*/) override { ++frames; }
+
+  std::vector<SimTime> starts;
+  std::vector<SimTime> ends;
+  int frames = 0;
+
+ private:
+  Simulator& sim_;
+};
+
+std::shared_ptr<const Packet> decodable() { return std::make_shared<const Packet>(); }
+
+// A carrier ending in the same nanosecond a decodable frame starts: the
+// carrier's end key is the seq reserved at its rx_start, so the frame is
+// corrupted exactly when that seq is later than the frame's rx_start event —
+// the tie an rx_end event at that key would have produced.
+TEST(Phy, CarrierEndingAsFrameStartsCorruptsOnlyIfItsSeqIsLater) {
+  const SimTime air = microseconds(100);
+  {  // Carrier reserved first: its end precedes the frame's start.
+    Simulator sim;
+    Transceiver trx(sim, PhyConfig{}, 0);
+    sim.schedule_at(SimTime::zero(), [&] {
+      trx.rx_start(nullptr, air);
+      sim.schedule_at(air, [&] { trx.rx_start(decodable(), air); });
+    });
+    sim.run_until(milliseconds(1));
+    EXPECT_EQ(trx.frames_received(), 1u);
+    EXPECT_EQ(trx.frames_corrupted(), 0u);
+  }
+  {  // Frame scheduled first: the carrier's end seq is later, so it overlaps.
+    Simulator sim;
+    Transceiver trx(sim, PhyConfig{}, 0);
+    sim.schedule_at(air, [&] { trx.rx_start(decodable(), air); });
+    sim.schedule_at(SimTime::zero(), [&] { trx.rx_start(nullptr, air); });
+    sim.run_until(milliseconds(1));
+    EXPECT_EQ(trx.frames_received(), 0u);
+    EXPECT_EQ(trx.frames_corrupted(), 1u);
+  }
+}
+
+TEST(Phy, MidCarrierSubscriberHearsTheCarriersEnd) {
+  Simulator sim;
+  Transceiver trx(sim, PhyConfig{}, 0);
+  EdgeClock edges(sim);
+  trx.set_listener(&edges);
+  sim.schedule_at(SimTime::zero(), [&] { trx.rx_start(nullptr, microseconds(100)); });
+  sim.schedule_at(microseconds(60), [&] { trx.rx_start(nullptr, microseconds(90)); });
+  sim.schedule_at(microseconds(40), [&] {
+    EXPECT_TRUE(trx.medium_busy());
+    trx.listen_edges(true);
+  });
+  sim.run_until(milliseconds(1));
+  // The busy edge came before the subscription; the idle edge fires at the
+  // end of the carrier extended by the second arrival.
+  EXPECT_TRUE(edges.starts.empty());
+  EXPECT_EQ(edges.ends, (std::vector<SimTime>{microseconds(150)}));
+  EXPECT_FALSE(trx.medium_busy());
+  EXPECT_EQ(trx.idle_since(), microseconds(150));
+}
+
+TEST(Phy, UnsubscribingCancelsThePendingIdleEdge) {
+  Simulator sim;
+  Transceiver trx(sim, PhyConfig{}, 0);
+  EdgeClock edges(sim);
+  trx.set_listener(&edges);
+  trx.listen_edges(true);
+  sim.schedule_at(SimTime::zero(), [&] { trx.rx_start(nullptr, microseconds(100)); });
+  sim.schedule_at(microseconds(50), [&] { trx.listen_edges(false); });
+  const std::uint64_t ran = sim.run_until(milliseconds(1));
+  EXPECT_EQ(edges.starts, (std::vector<SimTime>{SimTime::zero()}));
+  EXPECT_TRUE(edges.ends.empty());
+  EXPECT_EQ(ran, 2u) << "a carrier-only arrival costs one event, not two";
+  // The idle clock still restarts at the carrier's end.
+  EXPECT_EQ(trx.idle_since(), microseconds(100));
 }
 
 TEST(Phy, MovingNodeChangesConnectivity) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 namespace manet {
@@ -114,6 +115,45 @@ TEST(Simulator, ZeroDelayRunsAtCurrentTime) {
   // The zero-delay event lands after the already-queued same-time event.
   EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
   EXPECT_EQ(sim.now(), milliseconds(5));
+}
+
+TEST(Simulator, CurrentSeqIsTheDispatchingEventsSeq) {
+  Simulator sim;
+  EXPECT_EQ(sim.current_seq(), UINT64_MAX);  // nothing dispatching yet
+  std::vector<std::uint64_t> seen;
+  for (int i = 0; i < 3; ++i) {
+    sim.schedule(milliseconds(1), [&] { seen.push_back(sim.current_seq()); });
+  }
+  sim.run_until(milliseconds(2));
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 1, 2}));
+  // After a normal return every event at or before now() has run.
+  EXPECT_EQ(sim.current_seq(), UINT64_MAX);
+}
+
+TEST(Simulator, CurrentSeqSurvivesStop) {
+  Simulator sim;
+  sim.schedule(milliseconds(1), [&] { sim.stop(); });
+  sim.schedule(milliseconds(1), [] {});
+  sim.run();
+  // Stopped mid-instant: the second event at 1 ms has not run yet.
+  EXPECT_EQ(sim.current_key(), (EventKey{milliseconds(1), 0}));
+  EXPECT_LT(sim.current_key(), (EventKey{milliseconds(1), 1}));
+}
+
+TEST(Simulator, ReservedKeyDispatchesWhereItWasTaken) {
+  Simulator sim;
+  std::vector<int> order;
+  std::uint64_t reserved = 0;
+  sim.schedule(milliseconds(1), [&] {
+    reserved = sim.reserve_seq();  // taken before the event below is scheduled
+    sim.schedule(milliseconds(1), [&] { order.push_back(2); });
+  });
+  sim.schedule(milliseconds(1), [&] {
+    // Scheduled later, but at the earlier reserved key: runs first at 2 ms.
+    sim.schedule_reserved({milliseconds(2), reserved}, [&] { order.push_back(1); });
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace manet {
 namespace {
 
@@ -134,6 +136,36 @@ TEST(Stats, SummaryMentionsKeyNumbers) {
   const std::string text = s.summary(seconds(10));
   EXPECT_NE(text.find("PDR"), std::string::npos);
   EXPECT_NE(text.find("no-route"), std::string::npos);
+}
+
+// Carrier-only rx energy is booked at the arrival's start but summed in at
+// its end key, interleaved with the energy of decodable arrivals booked at
+// their end events: the total must be bit-equal to summing every arrival in
+// end-key order, even for values whose sum depends on the order.
+TEST(Stats, DeferredRxEnergySettlesInEndKeyOrder) {
+  const SimTime t0 = milliseconds(1);
+  const SimTime t1 = milliseconds(2);
+  const SimTime horizon = milliseconds(3);
+  StatsCollector st;
+  // Deferred in start order; their end keys interleave differently.
+  st.defer_rx_energy({t1, 7}, 1e16);
+  st.defer_rx_energy({t0, 9}, 1.0);
+  st.defer_rx_energy({t1, 3}, 1.0);
+  st.defer_rx_energy({horizon + nanoseconds(1), 2}, 5.0);  // ends after the horizon
+  st.defer_rx_energy({horizon, 8}, 0.1);
+  st.on_rx_energy({t1, 5}, -1e16);  // a decodable arrival's own end event
+  st.settle_rx_energy({horizon, UINT64_MAX});
+
+  // By end key: (t0,9) 1.0, (t1,3) 1.0, (t1,5) -1e16, (t1,7) 1e16, (horizon,8) 0.1.
+  const double in_key_order[] = {1.0, 1.0, -1e16, 1e16, 0.1};
+  double expect = 0.0;
+  for (const double j : in_key_order) expect += j;
+  EXPECT_EQ(st.energy_rx_j(), expect);  // exact: same additions, same order
+  // Non-vacuous: start order would round differently.
+  const double in_start_order[] = {1e16, 1.0, 1.0, 0.1, -1e16};
+  double other = 0.0;
+  for (const double j : in_start_order) other += j;
+  EXPECT_NE(other, expect);
 }
 
 }  // namespace

@@ -106,10 +106,20 @@ TEST(Trace, TypeTagFollowsHeaders) {
 TEST(Trace, UnwritablePathIsNotOkAndSilentlyDiscards) {
   TraceWriter tw("/nonexistent-dir-for-trace-test/out.tr");
   EXPECT_FALSE(tw.ok());
+  EXPECT_EQ(tw.error(), "No such file or directory");
   tw.record('s', seconds(1), 0, data_packet(0, 1));
   tw.record_fault(seconds(1), 0, "crash");
   tw.flush();
   EXPECT_EQ(tw.lines(), 0u);
+}
+
+// A scenario never runs untraced when a trace was asked for.
+TEST(TraceDeathTest, ScenarioBuildAbortsOnUnopenablePath) {
+  ScenarioConfig cfg;
+  cfg.num_nodes = 4;
+  cfg.trace_path = "/nonexistent-dir-for-trace-test/run.tr";
+  EXPECT_DEATH(Scenario(cfg).build(),
+               "trace: cannot open \"/nonexistent-dir-for-trace-test/run.tr\": No such file");
 }
 
 TEST(Trace, FaultRecordShapes) {

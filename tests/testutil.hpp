@@ -6,11 +6,11 @@
 // shape, and control traffic over hand-crafted topologies (lines, grids,
 // stars) instead of random scenarios.
 //
-// result_fingerprint() + expect_golden() are the one shared vocabulary for
+// Fingerprint / Golden / expect_golden() are the one shared vocabulary for
 // the pinned byte-exact determinism suites (test_transport, test_scale,
-// test_fault): every observable a run produces rendered as one exact-match
-// string, and one regeneration protocol (MANET_PRINT_GOLDENS=1) for all of
-// them.
+// test_fault, test_order_independence): every statistic a run produces
+// rendered as one exact-match string, its event count pinned beside it, and
+// one regeneration protocol (MANET_PRINT_GOLDENS=1) for all of them.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <ostream>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -37,36 +38,59 @@ namespace manet::test {
 /// (deliberate model changes: MANET_PRINT_GOLDENS=1 ./test_x, then paste).
 inline bool print_goldens() { return std::getenv("MANET_PRINT_GOLDENS") != nullptr; }
 
-/// Byte-compare `got` against a pinned golden literal; under
-/// MANET_PRINT_GOLDENS, print the fresh literal (tagged with `context` so it
-/// can be pasted back into the right table row) and skip the assertion.
-inline void expect_golden(const std::string& got, std::string_view golden,
+/// What a pinned run produced: every statistic as one exact-match string,
+/// and the number of events it took. The two are pinned separately because
+/// they change for different reasons: the statistics only when the model
+/// does, the event count also when the kernel does the same work in fewer
+/// events.
+struct Fingerprint {
+  std::string stats;
+  std::uint64_t events = 0;
+
+  friend bool operator==(const Fingerprint&, const Fingerprint&) = default;
+  friend std::ostream& operator<<(std::ostream& os, const Fingerprint& f) {
+    return os << f.stats << " (" << f.events << " events)";
+  }
+};
+
+/// A pinned Fingerprint, as written in a golden table.
+struct Golden {
+  const char* stats;
+  std::uint64_t events;
+};
+
+/// Byte-compare `got` against a pinned golden; under MANET_PRINT_GOLDENS,
+/// print the fresh literal (tagged with `context` so it can be pasted back
+/// into the right table row) and skip the assertion.
+inline void expect_golden(const Fingerprint& got, const Golden& golden,
                           const std::string& context) {
   if (print_goldens()) {
-    std::printf("\"%s\",  // %s\n", got.c_str(), context.c_str());
+    std::printf("{\"%s\", %llu},  // %s\n", got.stats.c_str(),
+                static_cast<unsigned long long>(got.events), context.c_str());
     return;
   }
-  EXPECT_EQ(got, std::string(golden))
+  EXPECT_EQ(got.stats, std::string(golden.stats))
       << context << " (deliberate change? MANET_PRINT_GOLDENS=1 prints fresh literals)";
+  EXPECT_EQ(got.events, golden.events)
+      << context << ": same statistics from a different number of events";
 }
 
-/// Everything observable a run produces, as one exact-match string — the
-/// shared fingerprint of the transport, urban, and fault determinism
-/// suites. Includes the transport counters; transport-off runs render them
-/// as tretx=0 flows=0, so pre-transport fingerprints extend, not fork.
-inline std::string result_fingerprint(const ScenarioResult& r) {
+/// Everything observable a run produces — the shared fingerprint of the
+/// transport, urban, and fault determinism suites. Includes the transport
+/// counters; transport-off runs render them as tretx=0 flows=0, so
+/// pre-transport fingerprints extend, not fork.
+inline Fingerprint result_fingerprint(const ScenarioResult& r) {
   char buf[320];
   std::snprintf(buf, sizeof(buf),
-                "events=%llu orig=%llu deliv=%llu rtx=%llu mac=%llu tretx=%llu flows=%zu "
+                "orig=%llu deliv=%llu rtx=%llu mac=%llu tretx=%llu flows=%zu "
                 "pdr=%.12g delay=%.12g nrl=%.12g hops=%.12g conn=%.12g",
-                static_cast<unsigned long long>(r.events),
                 static_cast<unsigned long long>(r.data_originated),
                 static_cast<unsigned long long>(r.data_delivered),
                 static_cast<unsigned long long>(r.routing_tx),
                 static_cast<unsigned long long>(r.mac_ctrl_tx),
                 static_cast<unsigned long long>(r.retransmissions), r.flows.size(), r.pdr,
                 r.delay_ms, r.nrl, r.avg_hops, r.connectivity);
-  return buf;
+  return {buf, r.events};
 }
 
 class TestNet {

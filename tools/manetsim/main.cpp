@@ -27,6 +27,7 @@
 #include "scenario/spec.hpp"
 #include "scenario/sweep.hpp"
 #include "scenario/validate.hpp"
+#include "trace/trace.hpp"
 
 namespace {
 
@@ -154,6 +155,20 @@ int cmd_run(const char* file, const std::vector<const char*>& flags) {
   if (cells.empty()) {
     std::fprintf(stderr, "manetsim: --cell=%s matches none of the %zu cell labels\n",
                  cell_filter.c_str(), spec.cells.size());
+    return 2;
+  }
+
+  // The file system can still refuse a trace path the spec validated with:
+  // report it at the key that set it, before anything runs.
+  for (const manet::SweepCell& cell : cells) {
+    const std::string& path = cell.config.trace_path;
+    if (path.empty()) continue;
+    const manet::TraceWriter probe(path);
+    if (probe.ok()) continue;
+    const auto line = spec.trace_lines.find(path);
+    const manet::spec::Error e{line != spec.trace_lines.end() ? line->second : 0, "trace",
+                               "cannot open \"" + path + "\": " + probe.error()};
+    std::fprintf(stderr, "%s\n", manet::spec::to_string(e, file).c_str());
     return 2;
   }
 
